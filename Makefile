@@ -38,7 +38,9 @@ test-reconfig:
 race:
 	$(GO) test -race ./...
 
+# vet fails when any file needs gofmt, listing the offenders.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -tags purego ./...
 
@@ -54,12 +56,15 @@ lint:
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem ./internal/gf256/ ./internal/rs/
 
-# bench-smoke compiles and runs every benchmark a fixed 10 iterations on
-# both the SIMD and purego kernel ladders: a CI-friendly check that the
-# benchmark suite itself stays healthy, with no performance gating.
+# bench-smoke compiles and runs every codec benchmark a fixed 10
+# iterations on both the SIMD and purego kernel ladders, plus the soda
+# read-path layer benchmark (selected by pattern, so the durable-put
+# benchmarks stay out): a CI-friendly check that the benchmark suite
+# itself stays healthy, with no performance gating.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=10x ./internal/gf256/ ./internal/rs/
 	$(GO) test -tags purego -run '^$$' -bench . -benchtime=10x ./internal/gf256/ ./internal/rs/
+	$(GO) test -run '^$$' -bench ReadErr -benchtime=10x ./internal/soda/
 
 # bench-json reruns the bench suite and regenerates BENCH_rs.json in one
 # deterministic format (sorted keys, tool-computed derived ratios), so

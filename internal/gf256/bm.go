@@ -72,8 +72,8 @@ func (bm *BM) Run(s []byte) []byte {
 	lambda[0] = 1
 	prev := bm.prev[:1] // the last Lambda before a length change
 	prev[0] = 1
-	degL := 0   // current LFSR length L
-	gap := 1    // iterations since prev was saved (the x^gap shift)
+	degL := 0       // current LFSR length L
+	gap := 1        // iterations since prev was saved (the x^gap shift)
 	last := byte(1) // the discrepancy prev was saved at
 	for r := 0; r < len(s); r++ {
 		// Discrepancy: how far the current LFSR is from predicting s[r].

@@ -54,8 +54,12 @@ import (
 //     the errata bitmask, so a stable corruption pattern pays the
 //     algebra once.
 //
-//  4. Apply. Erased shards receive their magnitude shard directly
-//     (they were read as zero); corrupt shards are fixed by XOR.
+//  4. Apply. The input shards are only ever read (all of it in step
+//     1), so the corrected codeword is written to caller-chosen output
+//     buffers: present shards are copied out, erased shards receive
+//     their magnitude shard directly (they were read as zero), and
+//     corrupt shards are fixed by XOR after the copy. An output buffer
+//     that is its input shard is corrected in place, with no copy.
 //
 // decodeErrorsBrute is the combinatorial alternative kept as the test
 // oracle and benchmark baseline: C(n, e) trial erasure-decodes with a
@@ -70,17 +74,34 @@ import (
 // The Encoder must have been built with WithGenerator(GeneratorRSView);
 // other generators return ErrNoSyndromes.
 func (e *Encoder) DecodeErrors(shards [][]byte) ([]int, error) {
-	return e.decodeErrors(shards, nil, false)
+	return e.decodeErrors(shards, shards, nil, true)
 }
 
-// DecodeErrorsInto is the steady-state, allocation-free form of
-// DecodeErrors. Erasure handling follows ReconstructInto: a shard to
-// repair is a zero-length slice with capacity for the shard size, and a
-// nil entry is an erasure that is accounted for but not rebuilt.
-// Corrupt shard indices are appended to corrupt[:0] and returned; give
-// it capacity n-k to keep the call allocation-free.
+// DecodeErrorsTo is the read-only, allocation-free form of
+// DecodeErrors: shards is never written, and the corrected codeword is
+// delivered into caller buffers instead. A nil or empty shards entry is
+// an erasure. For every i with out[i] != nil, the corrected shard i is
+// written into out[i][:size] and out[i] is resliced to that length:
+// present shards are copied, erased shards receive their rebuilt
+// contents, and corrupt shards their corrected ones. A nil out entry is
+// not written. out[i] may be shards[i] itself, which corrects that
+// shard in place; any other out buffer must not overlap an input
+// shard. Corrupt shard indices are appended to corrupt[:0] and
+// returned; give it capacity n-k to keep the call allocation-free. On
+// error no out buffer has been written.
+func (e *Encoder) DecodeErrorsTo(shards, out [][]byte, corrupt []int) ([]int, error) {
+	if len(out) != e.n {
+		return nil, fmt.Errorf("%w: got %d output buffers, want %d", ErrShardCount, len(out), e.n)
+	}
+	return e.decodeErrors(shards, out, corrupt[:0], false)
+}
+
+// DecodeErrorsInto is DecodeErrorsTo correcting shards in place
+// (out = shards): a shard to rebuild is a zero-length slice with
+// capacity for the shard size, and a nil entry is an erasure that is
+// accounted for but not rebuilt.
 func (e *Encoder) DecodeErrorsInto(shards [][]byte, corrupt []int) ([]int, error) {
-	return e.decodeErrors(shards, corrupt[:0], true)
+	return e.decodeErrors(shards, shards, corrupt[:0], false)
 }
 
 // MaxErrors returns the number of silently corrupt shards DecodeErrors
@@ -165,21 +186,17 @@ func (e *Encoder) putDecodeScratch(s *decodeScratch) {
 	e.decscratch.Put(s)
 }
 
-func (e *Encoder) decodeErrors(shards [][]byte, corrupt []int, into bool) ([]int, error) {
+// decodeErrors is the shared pipeline. shards is only read; the
+// corrected codeword goes to out, which may alias shards. With alloc
+// set every erasure is rebuilt into a fresh buffer (DecodeErrors);
+// otherwise only erasures with a non-nil out entry are rebuilt, into
+// that entry's capacity.
+func (e *Encoder) decodeErrors(shards, out [][]byte, corrupt []int, alloc bool) ([]int, error) {
 	if len(shards) != e.n {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), e.n)
 	}
 	d := e.n - e.k
-	if d == 0 {
-		// No redundancy: nothing can be missing or even detected.
-		for i, sh := range shards {
-			if len(sh) == 0 {
-				return nil, fmt.Errorf("%w: shard %d missing with no parity", ErrTooFewShards, i)
-			}
-		}
-		return corrupt, nil
-	}
-	if e.syn == nil {
+	if e.syn == nil && d > 0 {
 		return nil, fmt.Errorf("%w (generator %s; use WithGenerator(GeneratorRSView))", ErrNoSyndromes, e.genKind)
 	}
 	s := e.getDecodeScratch()
@@ -204,12 +221,17 @@ func (e *Encoder) decodeErrors(shards [][]byte, corrupt []int, into bool) ([]int
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(s.present), e.k)
 	}
 	f := len(s.erased)
-	if into {
-		for _, p := range s.erased {
-			if shards[p] != nil && cap(shards[p]) < size {
-				return nil, fmt.Errorf("%w: shard %d buffer capacity %d < shard size %d", ErrShardSize, p, cap(shards[p]), size)
+	if !alloc {
+		for i, o := range out {
+			if o != nil && cap(o) < size {
+				return nil, fmt.Errorf("%w: shard %d buffer capacity %d < shard size %d", ErrShardSize, i, cap(o), size)
 			}
 		}
+	}
+	if d == 0 {
+		// No redundancy: nothing is missing, and nothing can be detected.
+		copyPresent(shards, out, s.present)
+		return corrupt, nil
 	}
 
 	// Step 1: fused syndrome shards over the present shards. Erased
@@ -269,26 +291,49 @@ func (e *Encoder) decodeErrors(shards [][]byte, corrupt []int, into bool) ([]int
 		}
 	}
 
-	// Step 4: write erasure magnitudes out, XOR error magnitudes in.
+	// Step 4: copy the present shards out, then write erasure
+	// magnitudes over the erased ones and XOR error magnitudes into the
+	// corrupt ones. Every read of shards happened in step 1, so an out
+	// entry aliasing its shard is corrected in place.
+	copyPresent(shards, out, s.present)
 	ei := 0
 	for j, p := range s.errata {
 		if ei < len(s.erased) && s.erased[ei] == p {
 			ei++
-			if into {
-				if shards[p] == nil {
-					continue // accounted for, but caller does not want it
-				}
-				shards[p] = shards[p][:size]
-			} else {
-				shards[p] = make([]byte, size)
+			switch {
+			case alloc:
+				out[p] = make([]byte, size)
+			case out[p] == nil:
+				continue // accounted for, but caller does not want it
+			default:
+				out[p] = out[p][:size]
 			}
-			copy(shards[p], s.mags[j])
+			copy(out[p], s.mags[j])
 			continue
 		}
-		gf256.AddSlice(shards[p], s.mags[j])
+		if out[p] != nil {
+			gf256.AddSlice(out[p], s.mags[j])
+		}
 		corrupt = append(corrupt, p)
 	}
 	return corrupt, nil
+}
+
+// copyPresent copies each present shard into its non-nil out entry,
+// resliced to the shard size. An out entry that already is its shard
+// is left alone.
+func copyPresent(shards, out [][]byte, present []int) {
+	for _, i := range present {
+		sh, o := shards[i], out[i]
+		if o == nil {
+			continue
+		}
+		o = o[:len(sh)]
+		if &o[0] != &sh[0] {
+			copy(o, sh)
+		}
+		out[i] = o
+	}
 }
 
 // inconsistentColumn returns the byte offset of the first column whose

@@ -50,7 +50,9 @@ func damage(rng *rand.Rand, orig [][]byte, perm []int, e, f int, intoBufs bool) 
 // TestDecodeErrorsSweep checks every (errors, erasures) split within
 // the decoding radius 2e+f <= n-k across shapes and odd sizes: the
 // decoder must restore the exact original shards and name exactly the
-// corrupted ones.
+// corrupted ones, both in place (DecodeErrors) and through the
+// read-only form (DecodeErrorsTo), which must also leave every input
+// byte untouched.
 func TestDecodeErrorsSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for _, sh := range []struct{ n, k int }{{3, 1}, {5, 3}, {9, 5}, {14, 10}, {8, 3}} {
@@ -65,7 +67,28 @@ func TestDecodeErrorsSweep(t *testing.T) {
 				for trial := 0; trial < 8; trial++ {
 					perm := rng.Perm(sh.n)
 					shards, wantCorrupt, _ := damage(rng, orig, perm, ne, f, false)
-					got, err := e.DecodeErrors(shards)
+					before := cloneShards(shards)
+					out := make([][]byte, sh.n)
+					for i := range out {
+						out[i] = make([]byte, 0, 257)
+					}
+					got, err := e.DecodeErrorsTo(shards, out, nil)
+					if err != nil {
+						t.Fatalf("[%d,%d] e=%d f=%d: DecodeErrorsTo: %v", sh.n, sh.k, ne, f, err)
+					}
+					if !slices.Equal(got, wantCorrupt) {
+						t.Fatalf("[%d,%d] e=%d f=%d: DecodeErrorsTo corrupt = %v, want %v", sh.n, sh.k, ne, f, got, wantCorrupt)
+					}
+					for i := range orig {
+						if !bytes.Equal(shards[i], before[i]) || len(shards[i]) != len(before[i]) {
+							t.Fatalf("[%d,%d] e=%d f=%d: DecodeErrorsTo wrote input shard %d", sh.n, sh.k, ne, f, i)
+						}
+						if !bytes.Equal(out[i], orig[i]) {
+							t.Fatalf("[%d,%d] e=%d f=%d: DecodeErrorsTo out[%d] not restored", sh.n, sh.k, ne, f, i)
+						}
+					}
+
+					got, err = e.DecodeErrors(shards)
 					if err != nil {
 						t.Fatalf("[%d,%d] e=%d f=%d: DecodeErrors: %v", sh.n, sh.k, ne, f, err)
 					}
@@ -317,10 +340,14 @@ func TestDecodeErrorsNoParity(t *testing.T) {
 	}
 }
 
-// TestDecodeErrorsInto checks the caller-buffer semantics: zero-length
-// entries with capacity are rebuilt in place, nil erasures are
-// accounted for but left nil, the corrupt list lands in the caller's
-// slice, and undersized buffers error before mutation.
+// TestDecodeErrorsInto checks the caller-buffer semantics of both
+// buffer-taking forms on the same damage: an erasure is rebuilt into
+// the caller's buffer, an erasure with no buffer is accounted for but
+// not rebuilt, the corrupt shard is located and corrected, the corrupt
+// list lands in the caller's slice, and undersized buffers error
+// before anything is written. DecodeErrorsInto corrects its shards in
+// place; DecodeErrorsTo must leave them byte-identical and deliver
+// every corrected shard into out.
 func TestDecodeErrorsInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	e, err := New(14, 10, WithGenerator(GeneratorRSView))
@@ -330,11 +357,14 @@ func TestDecodeErrorsInto(t *testing.T) {
 	const size = 1031
 	orig := makeShards(t, rng, e, size)
 
-	shards := cloneShards(orig)
+	damaged := cloneShards(orig)
+	damaged[4] = nil  // erasure repaired into the caller's buffer
+	damaged[12] = nil // erasure accounted for, not repaired
+	corruptShard(rng, damaged, 7)
+
+	shards := cloneShards(damaged)
 	buf := make([]byte, size)
-	shards[4] = buf[:0]   // erasure repaired into the caller's buffer
-	shards[12] = nil      // erasure accounted for, not repaired
-	corruptShard(rng, shards, 7)
+	shards[4] = buf[:0]
 	corrupt := make([]int, 0, 4)
 	got, err := e.DecodeErrorsInto(shards, corrupt)
 	if err != nil {
@@ -361,16 +391,57 @@ func TestDecodeErrorsInto(t *testing.T) {
 		}
 	}
 
+	before := cloneShards(damaged)
+	out := make([][]byte, 14)
+	bufs := make([]byte, 14*size)
+	for i := range out {
+		if i != 12 {
+			out[i] = bufs[i*size : i*size]
+		}
+	}
+	got, err = e.DecodeErrorsTo(damaged, out, corrupt)
+	if err != nil {
+		t.Fatalf("DecodeErrorsTo: %v", err)
+	}
+	if !slices.Equal(got, []int{7}) {
+		t.Fatalf("DecodeErrorsTo corrupt = %v, want [7]", got)
+	}
+	if &got[0] != &corrupt[:1][0] {
+		t.Fatal("DecodeErrorsTo corrupt indices must land in the caller's slice")
+	}
+	for i := range orig {
+		if !bytes.Equal(damaged[i], before[i]) {
+			t.Fatalf("DecodeErrorsTo wrote input shard %d", i)
+		}
+		if i == 12 {
+			if out[i] != nil {
+				t.Fatal("nil out entry must stay nil")
+			}
+			continue
+		}
+		if !bytes.Equal(out[i], orig[i]) || &out[i][0] != &bufs[i*size] {
+			t.Fatalf("out[%d] does not hold the corrected shard in the caller's buffer", i)
+		}
+	}
+
 	shards = cloneShards(orig)
 	shards[0] = make([]byte, 0, size-1)
 	if _, err := e.DecodeErrorsInto(shards, nil); !errors.Is(err, ErrShardSize) {
 		t.Fatalf("undersized buffer = %v, want ErrShardSize", err)
 	}
+	out[0] = make([]byte, 0, size-1)
+	if _, err := e.DecodeErrorsTo(damaged, out, nil); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("DecodeErrorsTo undersized buffer = %v, want ErrShardSize", err)
+	}
+	if _, err := e.DecodeErrorsTo(damaged, out[:13], nil); !errors.Is(err, ErrShardCount) {
+		t.Fatalf("DecodeErrorsTo short out = %v, want ErrShardCount", err)
+	}
 }
 
 // TestDecodeErrorsIntoZeroAlloc pins the steady-state contract: with a
 // stable corruption pattern (warm errata cache) and caller-supplied
-// buffers, DecodeErrorsInto performs no heap allocation.
+// buffers, neither DecodeErrorsInto nor the read-only DecodeErrorsTo
+// performs a heap allocation.
 func TestDecodeErrorsIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -401,6 +472,28 @@ func TestDecodeErrorsIntoZeroAlloc(t *testing.T) {
 	run() // warm scratch pool, errata cache, kernel tables
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Fatalf("DecodeErrorsInto allocates %.1f times per op in steady state, want 0", allocs)
+	}
+
+	damaged := cloneShards(orig)
+	damaged[5][17] ^= 0x42
+	damaged[9] = nil
+	out := make([][]byte, 14)
+	bufs := make([]byte, 10*size)
+	runTo := func() {
+		for i := 0; i < 10; i++ {
+			out[i] = bufs[i*size : i*size]
+		}
+		var err error
+		if corrupt, err = e.DecodeErrorsTo(damaged, out, corrupt); err != nil {
+			t.Fatal(err)
+		}
+		if len(corrupt) != 1 || corrupt[0] != 5 || !bytes.Equal(out[9], orig[9]) || !bytes.Equal(out[5], orig[5]) {
+			t.Fatalf("DecodeErrorsTo corrupt = %v, want [5] with shards 5 and 9 restored", corrupt)
+		}
+	}
+	runTo()
+	if allocs := testing.AllocsPerRun(50, runTo); allocs != 0 {
+		t.Fatalf("DecodeErrorsTo allocates %.1f times per op in steady state, want 0", allocs)
 	}
 }
 

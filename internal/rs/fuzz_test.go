@@ -63,6 +63,23 @@ func FuzzDecodeErrors(f *testing.F) {
 			if err := gf256.SetKernel(kern); err != nil {
 				t.Fatal(err)
 			}
+			// The read-only form first: it must leave damaged intact
+			// (the in-place decode below starts from a clone of it).
+			before := cloneShards(damaged)
+			out := make([][]byte, n)
+			for i := range out {
+				out[i] = make([]byte, 0, size)
+			}
+			gotTo, err := enc.DecodeErrorsTo(damaged, out, nil)
+			if err != nil {
+				t.Fatalf("kernel %s [%d,%d] e=%d f=%d size=%d: DecodeErrorsTo: %v", kern, n, k, ne, nf, size, err)
+			}
+			for i := range damaged {
+				if !bytes.Equal(damaged[i], before[i]) {
+					t.Fatalf("kernel %s [%d,%d] e=%d f=%d: DecodeErrorsTo wrote input shard %d", kern, n, k, ne, nf, i)
+				}
+			}
+
 			fast := cloneShards(damaged)
 			got, err := enc.DecodeErrors(fast)
 			if err != nil {
@@ -71,9 +88,15 @@ func FuzzDecodeErrors(f *testing.F) {
 			if !slices.Equal(got, wantCorrupt) {
 				t.Fatalf("kernel %s [%d,%d]: corrupt = %v, want %v", kern, n, k, got, wantCorrupt)
 			}
+			if !slices.Equal(gotTo, got) {
+				t.Fatalf("kernel %s [%d,%d]: DecodeErrorsTo corrupt = %v, DecodeErrors says %v", kern, n, k, gotTo, got)
+			}
 			for i := range orig {
 				if !bytes.Equal(fast[i], orig[i]) {
 					t.Fatalf("kernel %s [%d,%d] e=%d f=%d: shard %d not restored", kern, n, k, ne, nf, i)
+				}
+				if !bytes.Equal(out[i], fast[i]) {
+					t.Fatalf("kernel %s [%d,%d] e=%d f=%d: DecodeErrorsTo out[%d] differs from DecodeErrors", kern, n, k, ne, nf, i)
 				}
 			}
 		}

@@ -12,12 +12,12 @@ import (
 )
 
 var shapes = []struct{ n, k int }{
-	{5, 3},  // SODA's running example scale
+	{5, 3}, // SODA's running example scale
 	{9, 5},
 	{14, 10},
-	{8, 3},  // n >= 2k: allows parity-only survivor sets
-	{1, 1},  // degenerate replication-free code
-	{4, 4},  // no parity at all
+	{8, 3}, // n >= 2k: allows parity-only survivor sets
+	{1, 1}, // degenerate replication-free code
+	{4, 4}, // no parity at all
 }
 
 func makeShards(t *testing.T, rng *rand.Rand, e *Encoder, size int) [][]byte {

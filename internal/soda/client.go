@@ -22,9 +22,11 @@ var (
 // Conn is a client's handle to one server, implemented by the
 // multiplexed TCP transport (mux.go), the dial-per-op TCP transport
 // (tcp.go), and the in-process loopback (loopback.go). Every operation
-// addresses one named register by key. Transports copy elements at the
-// boundary in both directions: a put's elem is not retained after the
-// call returns, and a served element never aliases server storage.
+// addresses one named register by key. A put's elem is not retained
+// after the call returns. Elements a Conn serves (GetData deliveries,
+// GetElem results) are read-only for the caller and may alias server
+// storage — Loopback delivers the stored element itself — so clients
+// decode them without ever writing them.
 type Conn interface {
 	// Index returns the server's shard index in [0, n).
 	Index() int
@@ -828,6 +830,7 @@ func (r *Reader) getState() *readState {
 			initials: make([]Tag, n),
 			hasInit:  make([]bool, n),
 			lost:     make([]bool, n),
+			views:    make([][]byte, n),
 			done:     make(chan struct{}, 1),
 		}
 		st.body = st.runConn
@@ -927,6 +930,7 @@ type readState struct {
 
 	vers  []versionBucket
 	nvers int
+	views [][]byte // n-entry decode scratch; decodeElems clears it
 
 	tTargetSet bool
 	tTarget    Tag
@@ -1143,76 +1147,22 @@ func newerVersion(a, b version) bool {
 }
 
 // decode attempts to turn the elements collected for tag t into a
-// value. With e == 0 it erasure-decodes from any k elements — taking
-// the no-copy fast path when the k systematic data shards are all
-// present, the common case for an uncorrupted cluster. With e > 0
-// (SODA_err) it runs Verify when all n elements are present — the
-// cheap all-healthy fast path — and otherwise the syndrome error
-// decoder, which locates up to e corrupt servers; the guarantee holds
-// because k+2e present elements leave at most n-k-2e erasures, inside
-// the decoding radius. A failed decode (corruption beyond e) reports
-// !ok and the read keeps waiting for more relays.
+// value through the codec's shared value decode. With e == 0 it
+// erasure-decodes from any k elements (no decode at all when the k
+// systematic data shards are present, the common case for an
+// uncorrupted cluster). With e > 0 (SODA_err) it locates errors: Verify
+// when all n elements are present, otherwise the syndrome decoder,
+// which locates up to e corrupt servers; the guarantee holds because
+// k+2e present elements leave at most n-k-2e erasures, inside the
+// decoding radius. Delivered elements are never written. A failed
+// decode (corruption beyond e) reports !ok and the read keeps waiting
+// for more relays.
 func (st *readState) decode(v version, ts *tagState) (ReadResult, bool) {
 	codec := st.r.codec
-	n, k := codec.N(), codec.K()
-	need := k + 2*st.r.e
-	if ts.count < need {
+	if ts.count < codec.K()+2*st.r.e {
 		return ReadResult{}, false
 	}
-
-	if st.r.e == 0 {
-		// Fast path: all k data shards in hand means the value is just
-		// their concatenation — no reconstruction, no defensive clones
-		// (DecodeValue copies out without mutating its inputs).
-		haveData := true
-		for i := 0; i < k; i++ {
-			if ts.elems[i] == nil {
-				haveData = false
-				break
-			}
-		}
-		if haveData {
-			value, err := codec.DecodeValue(ts.elems[:k], v.vlen)
-			if err != nil {
-				return ReadResult{}, false
-			}
-			return ReadResult{Tag: v.tag, Value: value}, true
-		}
-	}
-
-	shards := make([][]byte, n)
-	present := 0
-	for i, el := range ts.elems {
-		if el == nil {
-			continue
-		}
-		// Clone: the decoders repair in place, and delivered elements
-		// may alias server storage (loopback) or later decode tries.
-		shards[i] = slices.Clone(el)
-		present++
-	}
-
-	var corrupt []int
-	if st.r.e == 0 {
-		if err := codec.enc.ReconstructData(shards); err != nil {
-			return ReadResult{}, false
-		}
-	} else {
-		runDecode := true
-		if present == n {
-			if ok, _ := codec.enc.Verify(shards); ok {
-				runDecode = false // all elements healthy
-			}
-		}
-		if runDecode {
-			var err error
-			corrupt, err = codec.enc.DecodeErrors(shards)
-			if err != nil {
-				return ReadResult{}, false
-			}
-		}
-	}
-	value, err := codec.DecodeValue(shards, v.vlen)
+	value, corrupt, err := codec.decodeElems(ts.elems, v.vlen, st.r.e > 0, st.views)
 	if err != nil {
 		return ReadResult{}, false
 	}

@@ -129,3 +129,86 @@ func (c *Codec) DecodeValue(shards [][]byte, vlen int) ([]byte, error) {
 	}
 	return out[:vlen], nil
 }
+
+// decodeElems turns the elements collected for one version into its
+// value of vlen bytes. It is the one value decode shared by reads and
+// migration. elems is server-indexed (nil = not collected), and every
+// present entry must be shardSize(vlen) bytes. The elements are only
+// read, since they may alias server storage or a transport's delivery.
+// The k data shards are decoded straight into the returned value's
+// buffer, which is the call's only large allocation.
+//
+// With locate set, the syndrome decoder cross-checks the elements:
+// when all n are present and Verify passes, the data shards are simply
+// copied; otherwise DecodeErrorsTo locates and corrects up to
+// floor((n-k-f)/2) corrupt elements, whose ascending indices are
+// returned. Without it, present elements are trusted and only missing
+// data shards are erasure-decoded from any k of them.
+//
+// views is n entries of slice-header scratch (nil allocates them). It
+// is cleared before return, so a pooled owner pins no element.
+func (c *Codec) decodeElems(elems [][]byte, vlen int, locate bool, views [][]byte) ([]byte, []int, error) {
+	n, k := c.enc.N(), c.enc.K()
+	if vlen <= 0 {
+		return nil, nil, fmt.Errorf("%w: value length %d", ErrConfig, vlen)
+	}
+	if len(elems) != n {
+		return nil, nil, fmt.Errorf("%w: %d elements, want %d", ErrConfig, len(elems), n)
+	}
+	s := c.shardSize(vlen)
+	present := 0
+	for i, el := range elems {
+		if el == nil {
+			continue
+		}
+		if len(el) != s {
+			return nil, nil, fmt.Errorf("%w: element %d has %d bytes, want %d", ErrConfig, i, len(el), s)
+		}
+		present++
+	}
+	if views == nil {
+		views = make([][]byte, n)
+	}
+	defer clear(views)
+	buf := make([]byte, k*s)
+	region := func(i int) []byte { return buf[i*s : i*s : (i+1)*s] }
+
+	if locate {
+		if present == n {
+			if ok, _ := c.enc.Verify(elems); ok {
+				for i := 0; i < k; i++ {
+					copy(buf[i*s:], elems[i])
+				}
+				return buf[:vlen], nil, nil
+			}
+		}
+		for i := 0; i < k; i++ {
+			views[i] = region(i)
+		}
+		corrupt, err := c.enc.DecodeErrorsTo(elems, views, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		return buf[:vlen], corrupt, nil
+	}
+
+	missing := false
+	for i, el := range elems {
+		views[i] = el
+		if i >= k {
+			continue
+		}
+		if el != nil {
+			copy(buf[i*s:], el)
+		} else {
+			views[i] = region(i)
+			missing = true
+		}
+	}
+	if missing {
+		if err := c.enc.ReconstructInto(views); err != nil {
+			return nil, nil, err
+		}
+	}
+	return buf[:vlen], nil, nil
+}

@@ -36,8 +36,10 @@
 //     writes as they arrive. Once initial responses from n-f servers
 //     fix the target tag t_target (their maximum), the reader
 //     completes with the first tag t >= t_target for which it holds
-//     coded elements from k distinct servers, reconstructing the
-//     value with rs.ReconstructData; it then unregisters everywhere.
+//     coded elements from k distinct servers, erasure-decoding the
+//     missing data shards with rs.ReconstructInto straight into the
+//     returned value; it then unregisters everywhere. Delivered
+//     elements are only read, never written.
 //
 // Fault tolerance: with f crash-faulty servers, writes and reads both
 // wait on n-f quorums, and any two quorums intersect in n-2f >= k
@@ -47,7 +49,8 @@
 // decoded from, and k > f is what guarantees the next read's n-f
 // initial quorum still meets one of them, keeping reads monotone. A reader built with WithReadErrors(e) runs the
 // SODA_err variant: it waits for k + 2e coded elements of a matching
-// tag (possible while n - f >= k + 2e), runs Verify-then-DecodeErrors
+// tag (possible while n - f >= k + 2e), runs Verify when all n are in
+// hand and otherwise the read-only syndrome decoder rs.DecodeErrorsTo
 // on the rs-view generator, and reports the located corrupt server
 // indices for quarantine, tolerating e servers that return silently
 // corrupted elements on top of the crash faults (decoding radius

@@ -29,10 +29,13 @@ var ErrServerDown = errors.New("soda: server is down")
 //     relays first passes through a caller-supplied transform, which
 //     is what the SODA_err read path exists to catch.
 //
-// Like the TCP transport, loopback conns model the wire's copy
-// semantics: put elements are cloned on the way in, served elements on
-// the way out, so a client reusing a pooled encode buffer can never
-// alias server storage. Loopback is the substrate for deterministic
+// Like the TCP transport, loopback conns clone put elements on the way
+// in, so a client reusing a pooled encode buffer never aliases server
+// storage. Served elements are not copied: a GetData delivery or a
+// GetElem result is the stored element itself. That is safe because
+// server storage is only ever replaced, never written in place, and
+// the Conn contract makes deliveries read-only (a Corrupt transform
+// works on a copy). Loopback is the substrate for deterministic
 // protocol tests and the sodademo binary.
 type Loopback struct {
 	mu sync.Mutex // serializes the fault-injection mutators
@@ -388,11 +391,6 @@ func (c *loopConn) GetElem(ctx context.Context, key string) (Tag, []byte, int, e
 	srv.metrics.getElems.Add(1)
 	t, elem, vlen := srv.Snapshot(key)
 	d := c.lb.transform(c.idx, Delivery{Server: c.idx, Tag: t, Elem: elem, VLen: vlen})
-	if len(d.Elem) > 0 && &d.Elem[0] == &elem[0] {
-		// No transform ran: copy out of the server's live buffer so a
-		// concurrent put cannot mutate the caller's view.
-		d.Elem = slices.Clone(d.Elem)
-	}
 	return d.Tag, d.Elem, d.VLen, nil
 }
 

@@ -334,17 +334,19 @@ func (rc *Reconfigurator) collectOld(ctx context.Context, old *Config, key strin
 func (rc *Reconfigurator) installNew(ctx context.Context, old, next *Config, key string, ver version, elems map[int][]byte) error {
 	var shards [][]byte
 	if !ver.tag.IsZero() {
-		// Decode the value under the old code...
-		oldShards := make([][]byte, old.N())
+		// Decode the value under the old code, locating corrupt donors
+		// whenever the old code can: a correctable rotted donor must not
+		// become a permanent, undetectable fault of the new geometry...
+		oldElems := make([][]byte, old.N())
 		for i, el := range elems {
-			oldShards[i] = slices.Clone(el)
+			oldElems[i] = el
 		}
-		if err := old.Codec.enc.ReconstructData(oldShards); err != nil {
-			return fmt.Errorf("reconfig migrate %q: decoding under old geometry: %w", key, err)
-		}
-		value, err := old.Codec.DecodeValue(oldShards, ver.vlen)
+		value, corrupt, err := old.Codec.decodeElems(oldElems, ver.vlen, old.Codec.MaxReadErrors() > 0, nil)
 		if err != nil {
 			return fmt.Errorf("reconfig migrate %q: decoding under old geometry: %w", key, err)
+		}
+		if len(corrupt) > 0 {
+			rc.logf("reconfig: migrate %q: corrected corrupt donor element(s) %v", key, corrupt)
 		}
 		// ...and re-encode it under the new one.
 		shards, err = next.Codec.EncodeValue(value)

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/rs"
 )
 
 // fastReconfig is the retry schedule tests drive flips with.
@@ -239,6 +242,76 @@ func TestReconfigGrowMigratesState(t *testing.T) {
 	}
 	if snap := lb.Server(0).MetricsSnapshot(); snap.EpochNacks == 0 {
 		t.Fatal("no epoch NACK was ever counted despite retired-epoch traffic")
+	}
+}
+
+// TestReconfigMigrationLocatesCorruptDonor is the migration
+// silent-corruption regression: a [5,3] rs-view cluster with one donor
+// serving rotted elements grows to [7,3]. Migration must locate and
+// correct the rotted donor while it decodes under the old code, not
+// re-encode the rotted value into a clean-looking new codeword that no
+// later read can detect.
+func TestReconfigMigrationLocatesCorruptDonor(t *testing.T) {
+	ctx := testCtx(t)
+	lb := NewLoopback(7)
+	codec5, err := NewCodec(5, 3, rs.WithGenerator(rs.GeneratorRSView))
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec7, err := NewCodec(7, 3, rs.WithGenerator(rs.GeneratorRSView))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg0 := &Config{Epoch: 0, Codec: codec5, Conns: lb.ConnsAt(SeedEpoch, 5), F: -1}
+	view, err := NewConfigView(cfg0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// f=0: every write waits for all five acks, so no server is left
+	// without an element when the f=0 SODA_err reader below needs all n.
+	w := mustWriter(t, "w", codec5, cfg0.Conns, WithWriterFaults(0))
+	values := map[string][]byte{
+		"rot/a": []byte("the rotted donor holds data shard zero"),
+		"rot/b": bytes.Repeat([]byte{0x3C}, 3000),
+	}
+	tags := make(map[string]Tag)
+	for key, v := range values {
+		if tags[key], err = w.Write(ctx, key, v); err != nil {
+			t.Fatalf("Write(%s): %v", key, err)
+		}
+	}
+
+	lb.Corrupt(0, FlipByte(0))
+	// Before the flip a SODA_err reader sees through the rot.
+	r0 := mustReader(t, "r0", codec5, cfg0.Conns, WithReaderFaults(0), WithReadErrors(1))
+	for key, v := range values {
+		res, err := r0.Read(ctx, key)
+		if err != nil || !bytes.Equal(res.Value, v) || !slices.Equal(res.Corrupt, []int{0}) {
+			t.Fatalf("pre-flip Read(%s) = %q corrupt %v, %v", key, res.Value, res.Corrupt, err)
+		}
+	}
+
+	cfg1 := &Config{Epoch: 1, Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
+	if err := NewReconfigurator(view, fastReconfig).Apply(ctx, cfg1); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	// The rotted disk is replaced; from here on every element is served
+	// as stored, so any remaining damage was written by the migration.
+	lb.Corrupt(0, nil)
+	readers := []*Reader{
+		mustReader(t, "plain", codec7, cfg1.Conns, WithReaderFaults(0)),
+		mustReader(t, "err", codec7, cfg1.Conns, WithReaderFaults(0), WithReadErrors(2)),
+	}
+	for _, r := range readers {
+		for key, v := range values {
+			res, err := r.Read(ctx, key)
+			if err != nil {
+				t.Fatalf("Read(%s) under epoch 1: %v", key, err)
+			}
+			if res.Tag != tags[key] || !bytes.Equal(res.Value, v) || len(res.Corrupt) != 0 {
+				t.Fatalf("Read(%s) under epoch 1 = %v %q corrupt %v, want %v %q", key, res.Tag, res.Value, res.Corrupt, tags[key], v)
+			}
+		}
 	}
 }
 

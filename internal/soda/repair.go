@@ -493,25 +493,28 @@ func chooseVersion(donations []donation, k int) (version, map[int][]byte) {
 }
 
 // rebuild regenerates the target's coded element from the donated
-// shards. With the rs-view generator and donors to spare, the syndrome
-// decoder cross-checks the donors while it rebuilds — a corrupt donor
-// inside the decoding radius is located (and reported) instead of
-// silently poisoning the repaired element. Other generators erasure-
-// decode from k shards and trust them.
+// shards, which are only read. With the rs-view generator and donors
+// to spare, the syndrome decoder cross-checks the donors while it
+// rebuilds — a corrupt donor inside the decoding radius is located
+// (and reported) instead of silently poisoning the repaired element.
+// Other generators erasure-decode from k shards and trust them.
 func (rp *Repairer) rebuild(target int, ver version, elems map[int][]byte) ([]byte, []int, error) {
 	n := rp.codec.N()
 	shards := make([][]byte, n)
 	for i, el := range elems {
-		shards[i] = slices.Clone(el)
+		shards[i] = el
 	}
+	elem := make([]byte, 0, rp.codec.shardSize(ver.vlen))
 	if rp.codec.MaxReadErrors() > 0 {
-		corrupt, err := rp.codec.enc.DecodeErrors(shards)
+		out := make([][]byte, n)
+		out[target] = elem
+		corrupt, err := rp.codec.enc.DecodeErrorsTo(shards, out, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("repair decode: %w", err)
 		}
-		return shards[target], corrupt, nil
+		return out[target], corrupt, nil
 	}
-	shards[target] = make([]byte, 0, rp.codec.shardSize(ver.vlen))
+	shards[target] = elem
 	if err := rp.codec.enc.ReconstructInto(shards); err != nil {
 		return nil, nil, fmt.Errorf("repair reconstruct: %w", err)
 	}

@@ -628,9 +628,9 @@ func stampStale(err error, idx int) error {
 // id 1 on it. MuxConn is the production path; this one survives as
 // the benchmark baseline and a zero-shared-state fallback.
 type tcpConn struct {
-	idx   int
-	addr  string
-	opts  tcpOpts
+	idx  int
+	addr string
+	opts tcpOpts
 }
 
 // TCPConn returns a Conn that dials addr for each operation, acting

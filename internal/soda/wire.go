@@ -56,9 +56,9 @@ const (
 	msgKeys       byte = 13 // c->s: enumerate the server's non-empty keys
 	msgKeysResp   byte = 14 // s->c: {count, key...}
 
-	msgEpochNack     byte = 15 // s->c: {want, sealed}: frame epoch rejected; header carries server's epoch
-	msgReconfig      byte = 16 // c->s: coordinator op {op, epoch, n, k}: status/seal/activate
-	msgReconfigResp  byte = 17 // s->c: {epoch, pending, sealed}: the server's epoch state
+	msgEpochNack    byte = 15 // s->c: {want, sealed}: frame epoch rejected; header carries server's epoch
+	msgReconfig     byte = 16 // c->s: coordinator op {op, epoch, n, k}: status/seal/activate
+	msgReconfigResp byte = 17 // s->c: {epoch, pending, sealed}: the server's epoch state
 )
 
 // maxFrame bounds a frame payload; a peer announcing more is treated
