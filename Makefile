@@ -3,7 +3,7 @@ GO ?= go
 # The benchmark selection shared by `make bench` and `make bench-json`.
 BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors
 
-.PHONY: all build build-cross test test-durability test-reconfig vet lint bench bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz
+.PHONY: all build build-cross test test-durability test-reconfig stress vet lint bench bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz
 
 all: vet lint build test race
 
@@ -34,6 +34,18 @@ test-durability:
 # concurrent epoch-following writers/readers — under the race detector.
 test-reconfig:
 	$(GO) test -race -run 'Reconfig|Epoch' ./internal/soda/
+
+# stress repeats the soda tests that pin fixed protocol races — the
+# write straggler's late put, repair's key-enumeration quorum, the mux
+# dial outliving a cancelled operation, the read path's read-only
+# deliveries, migration's error location — 30
+# times plain and 5 times under the race detector, so a flake shows as
+# a failure instead of hiding in a single lucky run.
+STRESS_TESTS := TestWriteStragglerPutsAfterReturn|TestRepairKeyUnionNeedsQuorum|TestMuxDialOutlivesCancelledOp|TestErrRepairQuorumIsTarget|TestReadLeavesDeliveriesUnmutated|TestReconfigMigrationLocatesCorruptDonor
+
+stress:
+	$(GO) test -count=30 -run '^($(STRESS_TESTS))$$' ./internal/soda/
+	$(GO) test -race -count=5 -run '^($(STRESS_TESTS))$$' ./internal/soda/
 
 race:
 	$(GO) test -race ./...

@@ -28,7 +28,7 @@ package gf256
 // arithmetic never pay for them.
 
 import (
-	"encoding/binary"
+	"crypto/subtle"
 	"fmt"
 	"os"
 	"sync"
@@ -300,19 +300,13 @@ func mulAddSliceTail(c byte, dst, src []byte, i int) {
 	}
 }
 
-// AddSlice computes dst[i] ^= src[i] for all i, eight bytes per XOR.
+// AddSlice computes dst[i] ^= src[i] for all i, through the standard
+// library's XOR, which is vectorized on amd64 and arm64.
 func AddSlice(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: AddSlice length mismatch")
 	}
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }
 
 // Dot returns the inner product sum_i a[i]*b[i] in GF(2^8). The slices

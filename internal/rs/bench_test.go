@@ -298,3 +298,46 @@ func BenchmarkDecodeErrorsInto(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDecodeErrorsTo is the SODA_err read decode on the [7,3]
+// RS-view code with 64 KiB values (21,846-B shards): the reader
+// decodes once k+2e = 5 elements of a tag arrived, so shards 5 and 6
+// are erased, and it asks only for the k data shards. f2e1 has shard 2
+// silently corrupt (one flipped byte), f2e0 is the clean read. The
+// input is never written, so the damage is set up once.
+func BenchmarkDecodeErrorsTo(b *testing.B) {
+	const n, k, size = 7, 3, 21846
+	for _, tc := range []struct {
+		name    string
+		corrupt []int
+	}{
+		{"n7k3/f2e1", []int{2}},
+		{"n7k3/f2e0", nil},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			e, err := New(n, k, WithGenerator(GeneratorRSView))
+			if err != nil {
+				b.Fatal(err)
+			}
+			shards := benchShards(b, e, size)
+			shards[5], shards[6] = nil, nil
+			for _, p := range tc.corrupt {
+				shards[p][0] ^= 0x5a
+			}
+			out := make([][]byte, n)
+			bufs := make([]byte, k*size)
+			corrupt := make([]int, 0, n-k)
+			b.SetBytes(int64(k * size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < k; j++ {
+					out[j] = bufs[j*size : j*size]
+				}
+				if corrupt, err = e.DecodeErrorsTo(shards, out, corrupt); err != nil || len(corrupt) != len(tc.corrupt) {
+					b.Fatalf("DecodeErrorsTo = (%v, %v), want %v", corrupt, err, tc.corrupt)
+				}
+			}
+		})
+	}
+}

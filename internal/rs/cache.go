@@ -7,15 +7,33 @@ import (
 	"repro/internal/matrix"
 )
 
-// shardKey is the survivor bitmask identifying which k shards a decode
-// matrix was inverted for. 256 bits covers the maximum code length.
+// shardKey is a shard-position bitmask: the survivors a decode matrix
+// was inverted for, or the erasures a punctured check was built for.
+// 256 bits covers the maximum code length.
 type shardKey [4]uint64
 
-// matrixCache is a bounded cache of inverted decode matrices with
-// approximate-LRU eviction. In steady state a cluster has a stable
-// failure pattern — the same servers are slow or dead across many
-// reads — so the same k x k inversion would otherwise be redone on
-// every reconstruction.
+// maskOf returns the bitmask of the given shard positions.
+func maskOf(positions []int) shardKey {
+	var key shardKey
+	for _, p := range positions {
+		key[p>>6] |= 1 << (p & 63)
+	}
+	return key
+}
+
+// has reports whether position i is in the mask.
+func (k shardKey) has(i int) bool { return k[i>>6]&(1<<(i&63)) != 0 }
+
+// errataKey identifies an error-magnitude solve: the erasures F the
+// check was punctured at and the located error positions U.
+type errataKey struct{ erased, errs shardKey }
+
+// matrixCache is a bounded cache of per-pattern matrices — inverted
+// decode matrices, punctured checks, error-magnitude solves — with
+// approximate-LRU eviction, keyed by the failure pattern K. In steady
+// state a cluster has a stable failure pattern — the same servers are
+// slow, dead or rotten across many reads — so the same algebra would
+// otherwise be redone on every decode.
 //
 // The cache is read-mostly by construction, so the hit path takes only
 // a shared RLock for the map lookup plus two atomic stores: concurrent
@@ -25,29 +43,29 @@ type shardKey [4]uint64
 // eviction scans for the minimum tick, which is fine because the cache
 // is small (default 64 entries) and misses already pay an O(k^3)
 // inversion.
-type matrixCache struct {
+type matrixCache[K comparable] struct {
 	mu      sync.RWMutex
 	cap     int
-	entries map[shardKey]*cacheEntry
+	entries map[K]*cacheEntry[K]
 	clock   atomic.Uint64
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 }
 
-type cacheEntry struct {
-	key  shardKey
+type cacheEntry[K comparable] struct {
+	key  K
 	m    *matrix.Matrix
 	used atomic.Uint64
 }
 
-func newMatrixCache(capacity int) *matrixCache {
-	return &matrixCache{
+func newMatrixCache[K comparable](capacity int) *matrixCache[K] {
+	return &matrixCache[K]{
 		cap:     capacity,
-		entries: make(map[shardKey]*cacheEntry, capacity),
+		entries: make(map[K]*cacheEntry[K], capacity),
 	}
 }
 
-func (c *matrixCache) get(key shardKey) (*matrix.Matrix, bool) {
+func (c *matrixCache[K]) get(key K) (*matrix.Matrix, bool) {
 	c.mu.RLock()
 	e := c.entries[key]
 	var m *matrix.Matrix
@@ -64,7 +82,7 @@ func (c *matrixCache) get(key shardKey) (*matrix.Matrix, bool) {
 	return m, true
 }
 
-func (c *matrixCache) put(key shardKey, m *matrix.Matrix) {
+func (c *matrixCache[K]) put(key K, m *matrix.Matrix) {
 	tick := c.clock.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -74,7 +92,7 @@ func (c *matrixCache) put(key shardKey, m *matrix.Matrix) {
 		return
 	}
 	for len(c.entries) >= c.cap {
-		var victim *cacheEntry
+		var victim *cacheEntry[K]
 		for _, e := range c.entries {
 			if victim == nil || e.used.Load() < victim.used.Load() {
 				victim = e
@@ -82,12 +100,12 @@ func (c *matrixCache) put(key shardKey, m *matrix.Matrix) {
 		}
 		delete(c.entries, victim.key)
 	}
-	e := &cacheEntry{key: key, m: m}
+	e := &cacheEntry[K]{key: key, m: m}
 	e.used.Store(tick)
 	c.entries[key] = e
 }
 
-func (c *matrixCache) stats() (hits, misses uint64, entries int) {
+func (c *matrixCache[K]) stats() (hits, misses uint64, entries int) {
 	c.mu.RLock()
 	entries = len(c.entries)
 	c.mu.RUnlock()

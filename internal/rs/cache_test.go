@@ -14,7 +14,7 @@ import (
 // test asserts race-freedom, bounded capacity, non-nil results, and
 // coherent stats — not residency of a particular key.
 func TestMatrixCacheParallel(t *testing.T) {
-	c := newMatrixCache(4)
+	c := newMatrixCache[shardKey](4)
 	hot := shardKey{1}
 	c.put(hot, matrix.Identity(3))
 
@@ -61,7 +61,7 @@ func TestMatrixCacheParallel(t *testing.T) {
 // with capacity 2, touching an old entry keeps it alive while the
 // untouched one is evicted.
 func TestMatrixCacheEvictsLeastRecent(t *testing.T) {
-	c := newMatrixCache(2)
+	c := newMatrixCache[shardKey](2)
 	a, b, d := shardKey{1}, shardKey{2}, shardKey{3}
 	c.put(a, matrix.Identity(2))
 	c.put(b, matrix.Identity(2))

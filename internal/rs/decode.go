@@ -2,7 +2,7 @@ package rs
 
 import (
 	"bytes"
-	"encoding/binary"
+	"crypto/subtle"
 	"fmt"
 	"slices"
 
@@ -19,47 +19,58 @@ import (
 // 2e + f <= n - k. DecodeErrors realizes that bound: it locates and
 // corrects the corrupt shards without being told which they are.
 //
-// The pipeline, in order of bytes touched:
+// Notation: F is the set of erased positions (f = |F|), X_i the locator
+// of position i, Gamma(x) = prod_{p in F} (1 + X_p x) the erasure
+// locator, and H the RS-view code's GRS parity check
+// (matrix.GRSParityCheck), H[t][i] = w_i * X_i^t for t < d = n-k. The
+// erasures are folded into the check before anything is computed, so
+// the decoder works on the code punctured at F: it never solves for an
+// erased shard, and rebuilds one only if the caller asked for it. The
+// pipeline, in order of bytes touched:
 //
-//  1. Syndromes. The RS-view code's parity-check rows are weighted
-//     power sums (matrix.GRSParityCheck), so the d = n-k syndrome
-//     shards S_t = sum_i H[t][i]*shard_i are computed in one fused,
-//     L2-tiled, worker-pool-striped pass over all present shards —
-//     the same codeStriped machinery Encode uses. This is the only
-//     full-width pass over the input: everything after it reads the
-//     much smaller syndrome shards. All-zero syndromes (the healthy
-//     case) cost exactly this one pass plus a scan.
+//  1. Punctured syndromes. The rows t' = sum_j Gamma_j * H[t'+f-j],
+//     t' < d-f, are H'[t'][i] = w_i * gamma_i * X_i^t' with
+//     gamma_i = prod_{p in F} (X_i + X_p) = X_i^f * Gamma(1/X_i), which
+//     vanishes exactly on F: H' is again a GRS parity check, that of the
+//     [n-f, k] code punctured at F. Its d-f rows over the present
+//     columns (cached per erasure mask; with f = 0 they are H itself)
+//     give the erasure-modified syndrome shards Xi in one fused,
+//     L2-tiled, worker-pool-striped pass — the same codeStriped
+//     machinery Encode uses. This is the only full-width pass over the
+//     input: everything after it reads the much smaller Xi shards.
+//     All-zero Xi (no corrupt shard) costs exactly this pass plus a
+//     scan.
 //
-//  2. Support discovery. A corrupt byte column makes the syndrome
-//     column a power-sum sequence of its errata locators, so
-//     Berlekamp-Massey plus Chien search (gf256/bm.go) on a single
-//     mismatching column yields error positions. Because real
-//     corruption is shard-granular, a handful of columns — usually
-//     one — reveals the whole support; the consistency check below
-//     tells us when the support is complete, so we never scan columns
-//     we do not need.
+//  2. Support discovery. A corrupt byte column makes its Xi column a
+//     power-sum sequence of its error locators, so Berlekamp-Massey
+//     plus Chien search (gf256/bm.go) on that one column yield up to
+//     floor((d-f)/2) error positions directly. Because real corruption
+//     is shard-granular, a handful of columns — usually one — reveals
+//     the whole support; the consistency check below tells us when the
+//     support is complete, so we never scan columns we do not need.
 //
-//  3. Magnitudes, in bulk. With the errata support P (erasures F plus
-//     located errors U, m = |P|) fixed, the magnitudes of every byte
-//     column solve the same m x m system: the first m syndrome rows
-//     restricted to P, which is a nonsingular diag(w)*Vandermonde
-//     block. The inverse is applied to the syndrome shards with the
-//     fused kernels — magnitude shards = M^-1 * syndrome shards — and
-//     the d-m leftover syndrome rows are recomputed from the
-//     magnitudes and compared: they agree if and only if the support
-//     covers every corrupt column (any miss would need an errata
-//     vector of weight > d to fool d independent GRS rows), so a
-//     mismatch column feeds back into step 2. The per-pattern solve
-//     setup is cached like reconstruction's decode matrices, keyed by
-//     the errata bitmask, so a stable corruption pattern pays the
-//     algebra once.
+//  3. Error magnitudes, in bulk. With the located errors U (nu = |U|)
+//     fixed, the magnitudes of every byte column solve the same
+//     nu x nu system: the first nu rows of H' restricted to U, a
+//     nonsingular diag(w*gamma)*Vandermonde block. Its inverse is
+//     applied to the Xi shards with the fused kernels — magnitude
+//     shards = M^-1 * Xi — and the d-f-nu leftover rows are recomputed
+//     from the magnitudes and compared: they agree if and only if U
+//     covers every corrupt column (a miss would need an error vector
+//     of weight > d-f to fool the d-f rows of the punctured MDS check),
+//     so a mismatch column feeds back into step 2. The solve setup is
+//     cached per (F, U), like reconstruction's decode matrices, so a
+//     stable corruption pattern pays the algebra once. Erasures get no
+//     magnitude.
 //
-//  4. Apply. The input shards are only ever read (all of it in step
-//     1), so the corrected codeword is written to caller-chosen output
-//     buffers: present shards are copied out, erased shards receive
-//     their magnitude shard directly (they were read as zero), and
-//     corrupt shards are fixed by XOR after the copy. An output buffer
-//     that is its input shard is corrected in place, with no copy.
+//  4. Apply. The input shards are only ever read, so the corrected
+//     codeword is written to caller-chosen output buffers: present
+//     shards are copied out, and a corrupt shard is written as shard XOR
+//     magnitude in one pass. Only the erased shards the caller wants
+//     are rebuilt, from k present uncorrupted shards through
+//     reconstruct's cached decode matrices (inside the radius
+//     n-f-nu >= k of them exist). An output buffer that is its input
+//     shard is corrected in place, with no copy.
 //
 // decodeErrorsBrute is the combinatorial alternative kept as the test
 // oracle and benchmark baseline: C(n, e) trial erasure-decodes with a
@@ -84,11 +95,12 @@ func (e *Encoder) DecodeErrors(shards [][]byte) ([]int, error) {
 // written into out[i][:size] and out[i] is resliced to that length:
 // present shards are copied, erased shards receive their rebuilt
 // contents, and corrupt shards their corrected ones. A nil out entry is
-// not written. out[i] may be shards[i] itself, which corrects that
-// shard in place; any other out buffer must not overlap an input
-// shard. Corrupt shard indices are appended to corrupt[:0] and
-// returned; give it capacity n-k to keep the call allocation-free. On
-// error no out buffer has been written.
+// not written, and an erasure whose out entry is nil costs nothing. out[i]
+// may be shards[i] itself, which corrects that shard in place; any
+// other out buffer must not overlap an input shard. Corrupt shard
+// indices are appended to corrupt[:0] and returned; give it capacity
+// n-k to keep the call allocation-free. On error no out buffer has been
+// written.
 func (e *Encoder) DecodeErrorsTo(shards, out [][]byte, corrupt []int) ([]int, error) {
 	if len(out) != e.n {
 		return nil, fmt.Errorf("%w: got %d output buffers, want %d", ErrShardCount, len(out), e.n)
@@ -119,36 +131,31 @@ func (e *Encoder) MaxErrors(erasures int) int {
 }
 
 // decodeChunk bounds the scratch of the consistency scan (step 3's
-// compare of recomputed vs actual syndrome rows).
+// compare of recomputed vs actual Xi rows).
 const decodeChunk = 32 << 10
 
 // decodeScratch recycles every buffer of the decode pipeline so
-// DecodeErrorsInto performs no steady-state heap allocation. The large
-// buf holds the d syndrome shards and up to d magnitude shards; the
+// DecodeErrorsTo performs no steady-state heap allocation. The large
+// buf holds the d-f Xi shards and up to (d-f)/2 magnitude shards; the
 // rest are fixed-size views and small-field working arrays.
 type decodeScratch struct {
-	buf  []byte   // synd (d*size) then mags (d*size), grown on demand
-	synd [][]byte // cap d views into buf
+	buf  []byte   // xi ((d-f)*size) then mags ((d-f)/2*size), grown on demand
+	xi   [][]byte // cap d views into buf
 	mags [][]byte // cap d views into buf
 
-	present []int    // indices of present shards
+	present []int    // ascending indices of present shards
 	erased  []int    // ascending erasure positions (F)
 	errs    []int    // ascending located error positions (U)
-	errata  []int    // merge of erased+errs, aligned with mags
 	ins     [][]byte // cap n input views
-	hbuf    []byte   // cap d*n packed present-restricted check rows
-	hrows   [][]byte // cap d views into hbuf
+	views   [][]byte // cap n reconstruct views for the wanted erasures
+	hrows   [][]byte // cap d check-row views
 	coeffs  [][]byte // cap d coefficient-row views for the solve
 	chunk   [][]byte // cap d chunked magnitude views for the scan
-	cmp     []byte   // cap decodeChunk expected-syndrome scratch
+	cmp     []byte   // cap decodeChunk expected-Xi scratch
 
-	gamma  []byte // erasure locator, cap n+1
-	gammaF int    // erasure count gamma was built for; -1 = not built
-	xs     []byte // cap n locator gather scratch
-	scol   []byte // cap d one syndrome column
-	xi     []byte // cap d modified syndromes
-	roots  []int  // cap n Chien results
-	bm     gf256.BM
+	scol  []byte // cap d one Xi column
+	roots []int  // cap n Chien results
+	bm    gf256.BM
 }
 
 func (e *Encoder) getDecodeScratch() *decodeScratch {
@@ -156,33 +163,27 @@ func (e *Encoder) getDecodeScratch() *decodeScratch {
 	if s == nil {
 		d := e.n - e.k
 		s = &decodeScratch{
-			synd:    make([][]byte, d),
+			xi:      make([][]byte, d),
 			mags:    make([][]byte, d),
 			present: make([]int, 0, e.n),
 			erased:  make([]int, 0, e.n),
 			errs:    make([]int, 0, e.n),
-			errata:  make([]int, 0, e.n),
 			ins:     make([][]byte, e.n),
-			hbuf:    make([]byte, d*e.n),
+			views:   make([][]byte, e.n),
 			hrows:   make([][]byte, d),
 			coeffs:  make([][]byte, d),
 			chunk:   make([][]byte, d),
 			cmp:     make([]byte, decodeChunk),
-			gamma:   make([]byte, 0, e.n+1),
-			xs:      make([]byte, 0, e.n),
 			scol:    make([]byte, d),
-			xi:      make([]byte, 0, d),
 			roots:   make([]int, 0, e.n),
 		}
 	}
-	s.gammaF = -1
 	return s
 }
 
 func (e *Encoder) putDecodeScratch(s *decodeScratch) {
-	for i := range s.ins {
-		s.ins[i] = nil // do not pin shard memory from the pool
-	}
+	clear(s.ins) // do not pin shard memory from the pool
+	clear(s.views)
 	e.decscratch.Put(s)
 }
 
@@ -228,124 +229,148 @@ func (e *Encoder) decodeErrors(shards, out [][]byte, corrupt []int, alloc bool) 
 			}
 		}
 	}
-	if d == 0 {
-		// No redundancy: nothing is missing, and nothing can be detected.
-		copyPresent(shards, out, s.present)
-		return corrupt, nil
-	}
 
-	// Step 1: fused syndrome shards over the present shards. Erased
-	// positions read as zero, which is exactly how their magnitudes are
-	// defined, so they are simply skipped.
-	np := len(s.present)
-	for t := 0; t < d; t++ {
-		row := s.hbuf[t*np : (t+1)*np]
-		for j, idx := range s.present {
-			row[j] = e.syn.check.At(t, idx)
-		}
-		s.hrows[t] = row
-	}
-	need := 2 * d * size
-	if cap(s.buf) < need {
-		s.buf = make([]byte, need)
-	}
-	buf := s.buf[:need]
-	for t := 0; t < d; t++ {
-		s.synd[t] = buf[t*size : (t+1)*size]
-	}
-	ins := s.ins[:np]
-	for j, idx := range s.present {
-		ins[j] = shards[idx]
-	}
-	e.codeStriped(s.hrows[:d], ins, s.synd[:d], size)
-
-	// Steps 2+3: alternate bulk magnitude solves with single-column
-	// support discovery until the leftover syndrome rows are consistent.
-	// Each round either finishes or adds at least one new error
-	// position, and the radius check bounds the rounds by (d-f)/2.
+	// r = d-f punctured check rows; with r == 0 every redundant shard is
+	// spent on erasures and nothing can be located (or needs to be).
+	r := d - f
 	s.errs = s.errs[:0]
-	var setup *matrix.Matrix
-	for {
-		m := f + len(s.errs)
-		mergeSorted(&s.errata, s.erased, s.errs)
-		if m > 0 {
-			var err error
-			if setup, err = e.errataSetup(s.errata, m); err != nil {
+	if r > 0 {
+		// Step 1: the Xi shards over the present shards.
+		if f == 0 {
+			for t := 0; t < r; t++ {
+				s.hrows[t] = e.syn.check.Row(t)
+			}
+		} else {
+			h := e.puncturedCheck(s.erased)
+			for t := 0; t < r; t++ {
+				s.hrows[t] = h.Row(t)
+			}
+		}
+		need := (r + r/2) * size
+		if cap(s.buf) < need {
+			s.buf = make([]byte, need)
+		}
+		buf := s.buf[:need]
+		for t := 0; t < r; t++ {
+			s.xi[t] = buf[t*size : (t+1)*size]
+		}
+		ins := s.ins[:len(s.present)]
+		for j, idx := range s.present {
+			ins[j] = shards[idx]
+		}
+		e.codeStriped(s.hrows[:r], ins, s.xi[:r], size)
+
+		// Steps 2+3: alternate bulk magnitude solves with single-column
+		// support discovery until the leftover rows are consistent. Each
+		// round either finishes or adds at least one new error position,
+		// and the radius check bounds the rounds by (d-f)/2.
+		var setup *matrix.Matrix
+		for {
+			nu := len(s.errs)
+			if nu > 0 {
+				var err error
+				if setup, err = e.errataSetup(s.erased, s.errs); err != nil {
+					return nil, err
+				}
+				for j := 0; j < nu; j++ {
+					s.coeffs[j] = setup.Row(j)
+					s.mags[j] = buf[(r+j)*size : (r+j+1)*size]
+				}
+				e.codeStriped(s.coeffs[:nu], s.xi[:nu], s.mags[:nu], size)
+			}
+			col := e.inconsistentColumn(s, setup, nu, r, size)
+			if col < 0 {
+				break
+			}
+			for t := 0; t < r; t++ {
+				s.scol[t] = s.xi[t][col]
+			}
+			if err := e.discoverSupport(s, d, f); err != nil {
 				return nil, err
 			}
-			for j := 0; j < m; j++ {
-				s.coeffs[j] = setup.Row(j)
-				s.mags[j] = buf[(d+j)*size : (d+j+1)*size]
-			}
-			e.codeStriped(s.coeffs[:m], s.synd[:m], s.mags[:m], size)
-		}
-		col := e.inconsistentColumn(s, setup, m, d, size)
-		if col < 0 {
-			break
-		}
-		for t := 0; t < d; t++ {
-			s.scol[t] = s.synd[t][col]
-		}
-		if err := e.discoverSupport(s, d, f); err != nil {
-			return nil, err
 		}
 	}
 
-	// Step 4: copy the present shards out, then write erasure
-	// magnitudes over the erased ones and XOR error magnitudes into the
-	// corrupt ones. Every read of shards happened in step 1, so an out
-	// entry aliasing its shard is corrected in place.
-	copyPresent(shards, out, s.present)
-	ei := 0
-	for j, p := range s.errata {
-		if ei < len(s.erased) && s.erased[ei] == p {
-			ei++
-			switch {
-			case alloc:
-				out[p] = make([]byte, size)
-			case out[p] == nil:
-				continue // accounted for, but caller does not want it
-			default:
-				out[p] = out[p][:size]
-			}
-			copy(out[p], s.mags[j])
-			continue
-		}
-		if out[p] != nil {
-			gf256.AddSlice(out[p], s.mags[j])
-		}
-		corrupt = append(corrupt, p)
+	// Step 4. Rebuilding the wanted erasures is the one step that can
+	// still fail, so it runs first: on error no out buffer is written.
+	if err := e.rebuildErased(s, shards, out, size, alloc); err != nil {
+		return nil, err
 	}
-	return corrupt, nil
-}
-
-// copyPresent copies each present shard into its non-nil out entry,
-// resliced to the shard size. An out entry that already is its shard
-// is left alone.
-func copyPresent(shards, out [][]byte, present []int) {
-	for _, i := range present {
-		sh, o := shards[i], out[i]
+	u := 0
+	for _, i := range s.present {
+		bad := u < len(s.errs) && s.errs[u] == i
+		if bad {
+			u++
+		}
+		o := out[i]
 		if o == nil {
 			continue
 		}
-		o = o[:len(sh)]
-		if &o[0] != &sh[0] {
-			copy(o, sh)
+		o = o[:size]
+		switch {
+		case bad:
+			subtle.XORBytes(o, shards[i], s.mags[u-1])
+		case &o[0] != &shards[i][0]:
+			copy(o, shards[i])
 		}
 		out[i] = o
 	}
+	return append(corrupt, s.errs...), nil
+}
+
+// rebuildErased rebuilds every erased shard the caller wants — all of
+// them with alloc, else those with a non-nil out entry — from the first
+// k present shards outside the located errors, and stores each into
+// its out entry.
+func (e *Encoder) rebuildErased(s *decodeScratch, shards, out [][]byte, size int, alloc bool) error {
+	views := s.views
+	want := false
+	for _, p := range s.erased {
+		switch {
+		case alloc:
+			views[p] = make([]byte, 0, size)
+		case out[p] != nil:
+			views[p] = out[p][:0]
+		default:
+			continue
+		}
+		want = true
+	}
+	if !want {
+		return nil
+	}
+	chosen, u := 0, 0
+	for _, i := range s.present {
+		if chosen == e.k {
+			break
+		}
+		if u < len(s.errs) && s.errs[u] == i {
+			u++
+			continue
+		}
+		views[i] = shards[i]
+		chosen++
+	}
+	if err := e.reconstruct(views, false, true); err != nil {
+		return err
+	}
+	for _, p := range s.erased {
+		if views[p] != nil {
+			out[p] = views[p]
+		}
+	}
+	return nil
 }
 
 // inconsistentColumn returns the byte offset of the first column whose
-// syndromes are not explained by the solved magnitudes, or -1 when all
-// leftover rows agree. With no errata assumed (m == 0) it is a plain
-// nonzero scan of the syndrome shards; otherwise each leftover row
-// t >= m is recomputed from the magnitude shards in bounded chunks and
-// compared.
-func (e *Encoder) inconsistentColumn(s *decodeScratch, setup *matrix.Matrix, m, d, size int) int {
-	for t := m; t < d; t++ {
-		if m == 0 {
-			if i := firstNonzero(s.synd[t]); i >= 0 {
+// Xi values are not explained by the solved magnitudes, or -1 when all
+// r rows agree. With no error located (nu == 0) it is a plain nonzero
+// scan of the Xi shards; otherwise each leftover row t >= nu is
+// recomputed from the magnitude shards in bounded chunks and compared.
+func (e *Encoder) inconsistentColumn(s *decodeScratch, setup *matrix.Matrix, nu, r, size int) int {
+	for t := nu; t < r; t++ {
+		if nu == 0 {
+			if i := firstNonzero(s.xi[t]); i >= 0 {
 				return i
 			}
 			continue
@@ -356,14 +381,14 @@ func (e *Encoder) inconsistentColumn(s *decodeScratch, setup *matrix.Matrix, m, 
 			if hi > size {
 				hi = size
 			}
-			for j := 0; j < m; j++ {
+			for j := 0; j < nu; j++ {
 				s.chunk[j] = s.mags[j][lo:hi]
 			}
 			cmp := s.cmp[:hi-lo]
-			gf256.MulMulti(row, s.chunk[:m], cmp)
-			if !bytes.Equal(cmp, s.synd[t][lo:hi]) {
+			gf256.MulMulti(row, s.chunk[:nu], cmp)
+			if !bytes.Equal(cmp, s.xi[t][lo:hi]) {
 				for i := range cmp {
-					if cmp[i] != s.synd[t][lo+i] {
+					if cmp[i] != s.xi[t][lo+i] {
 						return lo + i
 					}
 				}
@@ -373,22 +398,13 @@ func (e *Encoder) inconsistentColumn(s *decodeScratch, setup *matrix.Matrix, m, 
 	return -1
 }
 
-// discoverSupport runs the single-column errata algebra on the gathered
-// syndrome column s.scol: erasure-modified syndromes, Berlekamp-Massey,
-// Chien search. Newly located error positions are inserted into s.errs;
-// failure to make progress within the decoding radius is
-// ErrTooManyErrors.
+// discoverSupport runs Berlekamp-Massey and Chien search on the
+// gathered Xi column s.scol, which is already a power-sum sequence of
+// the column's error locators. Newly located error positions are
+// inserted into s.errs; failure to make progress within the decoding
+// radius is ErrTooManyErrors.
 func (e *Encoder) discoverSupport(s *decodeScratch, d, f int) error {
-	if s.gammaF != f {
-		s.xs = s.xs[:0]
-		for _, p := range s.erased {
-			s.xs = append(s.xs, e.syn.points[p])
-		}
-		s.gamma = gf256.ErrataLocatorInto(s.gamma, s.xs)
-		s.gammaF = f
-	}
-	s.xi = gf256.ErasureModifiedSyndromes(s.xi, s.scol[:d], s.gamma)
-	lambda := s.bm.Run(s.xi)
+	lambda := s.bm.Run(s.scol[:d-f])
 	nu := gf256.PolyDegree(lambda)
 	if nu <= 0 || 2*nu > d-f {
 		// An inconsistent column with no locatable error (nu == 0) or a
@@ -407,54 +423,93 @@ func (e *Encoder) discoverSupport(s *decodeScratch, d, f int) error {
 		s.errs = append(s.errs, p)
 		added++
 	}
-	if added > 0 {
-		slices.Sort(s.errs)
-	}
 	if added == 0 {
 		return fmt.Errorf("%w: no new error position from an inconsistent column", ErrTooManyErrors)
 	}
+	slices.Sort(s.errs)
 	if 2*len(s.errs)+f > d {
 		return fmt.Errorf("%w: located %d errors and %d erasures against %d parity shards", ErrTooManyErrors, len(s.errs), f, d)
 	}
 	return nil
 }
 
-// errataSetup returns the cached d x m solve matrix for the ascending
-// errata positions P: rows 0..m-1 hold the inverse of the first m
-// syndrome rows restricted to P (magnitudes = inverse * syndromes), and
-// rows m..d-1 hold the raw leftover rows used by the consistency scan.
-func (e *Encoder) errataSetup(positions []int, m int) (*matrix.Matrix, error) {
-	d := e.n - e.k
-	var key shardKey
-	for _, p := range positions {
-		key[p>>6] |= 1 << (p & 63)
+// puncturedWeight returns w_i * gamma_i, the column multiplier of
+// position i in the check punctured at the ascending erasures F:
+// gamma_i = prod_{p in F} (X_i + X_p), zero exactly on F.
+func (e *Encoder) puncturedWeight(i int, erased []int) byte {
+	g := e.syn.mults[i]
+	for _, p := range erased {
+		g = gf256.Mul(g, e.syn.points[i]^e.syn.points[p])
 	}
+	return g
+}
+
+// puncturedCheck returns the cached (d-f) x (n-f) check of the code
+// punctured at the ascending erasures F (0 < f < d), its columns the
+// present positions in ascending order: H'[t][j] = w_i*gamma_i*X_i^t
+// for the j-th present position i.
+func (e *Encoder) puncturedCheck(erased []int) *matrix.Matrix {
+	key := maskOf(erased)
+	if e.punctureCache != nil {
+		if h, ok := e.punctureCache.get(key); ok {
+			return h
+		}
+	}
+	r := e.n - e.k - len(erased)
+	h := matrix.New(r, e.n-len(erased))
+	j := 0
+	for i := 0; i < e.n; i++ {
+		if key.has(i) {
+			continue
+		}
+		v := e.puncturedWeight(i, erased)
+		for t := 0; t < r; t++ {
+			h.Set(t, j, v)
+			v = gf256.Mul(v, e.syn.points[i])
+		}
+		j++
+	}
+	if e.punctureCache != nil {
+		e.punctureCache.put(key, h)
+	}
+	return h
+}
+
+// errataSetup returns the cached (d-f) x nu solve matrix for the
+// ascending error positions U in the check punctured at the ascending
+// erasures F: rows 0..nu-1 hold the inverse of the first nu punctured
+// rows restricted to U (magnitudes = inverse * Xi), and rows nu..d-f-1
+// hold the raw leftover rows used by the consistency scan.
+func (e *Encoder) errataSetup(erased, errs []int) (*matrix.Matrix, error) {
+	key := errataKey{maskOf(erased), maskOf(errs)}
 	if e.errataCache != nil {
 		if mtx, ok := e.errataCache.get(key); ok {
 			return mtx, nil
 		}
 	}
-	top := matrix.New(m, m)
-	for t := 0; t < m; t++ {
-		for j, p := range positions {
-			top.Set(t, j, e.syn.check.At(t, p))
+	r := e.n - e.k - len(erased)
+	nu := len(errs)
+	top := matrix.New(nu, nu)
+	setup := matrix.New(r, nu)
+	for j, p := range errs {
+		v := e.puncturedWeight(p, erased)
+		for t := 0; t < r; t++ {
+			if t < nu {
+				top.Set(t, j, v)
+			} else {
+				setup.Set(t, j, v)
+			}
+			v = gf256.Mul(v, e.syn.points[p])
 		}
 	}
 	inv, err := top.Invert()
 	if err != nil {
 		// Unreachable for distinct positions (the block is a scaled
 		// Vandermonde), but surface it rather than corrupt data.
-		return nil, fmt.Errorf("rs: errata solve for positions %v: %w", positions, err)
+		return nil, fmt.Errorf("rs: errata solve for errors %v, erasures %v: %w", errs, erased, err)
 	}
-	setup := matrix.New(d, m)
-	for t := 0; t < m; t++ {
+	for t := 0; t < nu; t++ {
 		copy(setup.Row(t), inv.Row(t))
-	}
-	for t := m; t < d; t++ {
-		row := setup.Row(t)
-		for j, p := range positions {
-			row[j] = e.syn.check.At(t, p)
-		}
 	}
 	if e.errataCache != nil {
 		e.errataCache.put(key, setup)
@@ -554,36 +609,22 @@ func combinations(n, r int, fn func([]int) bool) {
 	}
 }
 
-// mergeSorted merges two ascending, disjoint int slices into *dst.
-func mergeSorted(dst *[]int, a, b []int) {
-	out := (*dst)[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	*dst = out
-}
+// zeroBlock is the all-zero reference firstNonzero compares against.
+var zeroBlock [4096]byte
 
-// firstNonzero returns the index of the first nonzero byte, eight
-// bytes per probe, or -1 for an all-zero slice.
+// firstNonzero returns the index of the first nonzero byte, or -1 for
+// an all-zero slice. Whole blocks are compared against zeroBlock with
+// the runtime's vectorized memequal; only a block that differs is
+// scanned byte by byte.
 func firstNonzero(b []byte) int {
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		if binary.LittleEndian.Uint64(b[i:]) != 0 {
-			break
-		}
-	}
-	for ; i < len(b); i++ {
-		if b[i] != 0 {
-			return i
+	for lo := 0; lo < len(b); lo += len(zeroBlock) {
+		blk := b[lo:min(lo+len(zeroBlock), len(b))]
+		if !bytes.Equal(blk, zeroBlock[:len(blk)]) {
+			for i, v := range blk {
+				if v != 0 {
+					return lo + i
+				}
+			}
 		}
 	}
 	return -1

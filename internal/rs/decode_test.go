@@ -3,6 +3,7 @@ package rs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -12,12 +13,13 @@ import (
 )
 
 // corruptShard flips a few random bytes of shards[idx], guaranteeing it
-// differs from the original.
+// differs from the original: the flipped positions are distinct, so two
+// flips can never cancel on a short shard.
 func corruptShard(rng *rand.Rand, shards [][]byte, idx int) {
 	sh := shards[idx]
-	n := 1 + rng.Intn(3)
-	for i := 0; i < n; i++ {
-		sh[rng.Intn(len(sh))] ^= byte(1 + rng.Intn(255))
+	n := min(1+rng.Intn(3), len(sh))
+	for _, p := range rng.Perm(len(sh))[:n] {
+		sh[p] ^= byte(1 + rng.Intn(255))
 	}
 }
 
@@ -47,15 +49,57 @@ func damage(rng *rand.Rand, orig [][]byte, perm []int, e, f int, intoBufs bool) 
 	return shards, corrupted, erased
 }
 
+// sparseOut returns n output buffers of capacity size with some
+// entries nil: on even trials only the k data shards are wanted (the
+// pattern a SODA read decodes with), on odd ones a random subset.
+func sparseOut(rng *rand.Rand, trial, n, k, size int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		if (trial%2 == 0 && i < k) || (trial%2 == 1 && rng.Intn(2) == 0) {
+			out[i] = make([]byte, 0, size)
+		}
+	}
+	return out
+}
+
+// checkSparseOut fails unless every nil entry of out is still nil and
+// every other entry holds the original shard.
+func checkSparseOut(t *testing.T, what string, out, orig [][]byte, wanted []bool) {
+	t.Helper()
+	for i := range orig {
+		if !wanted[i] {
+			if out[i] != nil {
+				t.Fatalf("%s: nil out[%d] was written", what, i)
+			}
+		} else if !bytes.Equal(out[i], orig[i]) {
+			t.Fatalf("%s: out[%d] not restored", what, i)
+		}
+	}
+}
+
 // TestDecodeErrorsSweep checks every (errors, erasures) split within
 // the decoding radius 2e+f <= n-k across shapes and odd sizes: the
 // decoder must restore the exact original shards and name exactly the
-// corrupted ones, both in place (DecodeErrors) and through the
-// read-only form (DecodeErrorsTo), which must also leave every input
-// byte untouched.
+// corrupted ones through all three entry points — in place
+// (DecodeErrors, which rebuilds every erasure, and DecodeErrorsInto)
+// and through the read-only form (DecodeErrorsTo), which must also
+// leave every input byte untouched. DecodeErrorsTo is also driven with
+// sparse outputs (data-only or random nil entries): nil entries must
+// stay nil and the others must be restored. The sweep runs on every
+// kernel tier.
 func TestDecodeErrorsSweep(t *testing.T) {
+	defer gf256.SetKernel("auto")
+	for _, kern := range gf256.AvailableKernels() {
+		if err := gf256.SetKernel(kern); err != nil {
+			t.Fatalf("SetKernel(%s): %v", kern, err)
+		}
+		t.Run(kern, sweepDecodeErrors)
+	}
+}
+
+func sweepDecodeErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	for _, sh := range []struct{ n, k int }{{3, 1}, {5, 3}, {9, 5}, {14, 10}, {8, 3}} {
+	for _, sh := range []struct{ n, k int }{{3, 1}, {5, 3}, {7, 3}, {9, 5}, {14, 10}, {8, 3}} {
 		e, err := New(sh.n, sh.k, WithGenerator(GeneratorRSView))
 		if err != nil {
 			t.Fatalf("New(%d,%d): %v", sh.n, sh.k, err)
@@ -85,6 +129,39 @@ func TestDecodeErrorsSweep(t *testing.T) {
 						}
 						if !bytes.Equal(out[i], orig[i]) {
 							t.Fatalf("[%d,%d] e=%d f=%d: DecodeErrorsTo out[%d] not restored", sh.n, sh.k, ne, f, i)
+						}
+					}
+
+					sparse := sparseOut(rng, trial, sh.n, sh.k, 257)
+					wanted := make([]bool, sh.n)
+					for i, o := range sparse {
+						wanted[i] = o != nil
+					}
+					got, err = e.DecodeErrorsTo(shards, sparse, nil)
+					if err != nil {
+						t.Fatalf("[%d,%d] e=%d f=%d: sparse DecodeErrorsTo: %v", sh.n, sh.k, ne, f, err)
+					}
+					if !slices.Equal(got, wantCorrupt) {
+						t.Fatalf("[%d,%d] e=%d f=%d: sparse DecodeErrorsTo corrupt = %v, want %v", sh.n, sh.k, ne, f, got, wantCorrupt)
+					}
+					checkSparseOut(t, fmt.Sprintf("[%d,%d] e=%d f=%d sparse DecodeErrorsTo", sh.n, sh.k, ne, f), sparse, orig, wanted)
+
+					into := cloneShards(shards)
+					for i := range into {
+						if into[i] == nil && rng.Intn(2) == 0 {
+							into[i] = make([]byte, 0, 257) // rebuild this erasure
+						}
+					}
+					got, err = e.DecodeErrorsInto(into, nil)
+					if err != nil {
+						t.Fatalf("[%d,%d] e=%d f=%d: DecodeErrorsInto: %v", sh.n, sh.k, ne, f, err)
+					}
+					if !slices.Equal(got, wantCorrupt) {
+						t.Fatalf("[%d,%d] e=%d f=%d: DecodeErrorsInto corrupt = %v, want %v", sh.n, sh.k, ne, f, got, wantCorrupt)
+					}
+					for i := range orig {
+						if into[i] != nil && !bytes.Equal(into[i], orig[i]) {
+							t.Fatalf("[%d,%d] e=%d f=%d: DecodeErrorsInto shard %d not restored", sh.n, sh.k, ne, f, i)
 						}
 					}
 
@@ -167,6 +244,22 @@ func TestDecodeErrorsKernelLadder(t *testing.T) {
 		for i := range orig {
 			if !bytes.Equal(shards[i], orig[i]) {
 				t.Fatalf("kernel %s: shard %d not restored", kern, i)
+			}
+		}
+
+		// Erasures plus an error, data-only output: the punctured path.
+		perm = rng.Perm(14)
+		shards, wantCorrupt, _ = damage(rng, orig, perm, 1, 2, false)
+		out := sparseOut(rng, 0, 14, 10, len(orig[0]))
+		if got, err = e.DecodeErrorsTo(shards, out, nil); err != nil {
+			t.Fatalf("kernel %s: DecodeErrorsTo: %v", kern, err)
+		}
+		if !slices.Equal(got, wantCorrupt) {
+			t.Fatalf("kernel %s: DecodeErrorsTo corrupt = %v, want %v", kern, got, wantCorrupt)
+		}
+		for i := 0; i < 10; i++ {
+			if !bytes.Equal(out[i], orig[i]) {
+				t.Fatalf("kernel %s: DecodeErrorsTo data shard %d not restored", kern, i)
 			}
 		}
 	}
@@ -441,7 +534,8 @@ func TestDecodeErrorsInto(t *testing.T) {
 // TestDecodeErrorsIntoZeroAlloc pins the steady-state contract: with a
 // stable corruption pattern (warm errata cache) and caller-supplied
 // buffers, neither DecodeErrorsInto nor the read-only DecodeErrorsTo
-// performs a heap allocation.
+// performs a heap allocation, also when erasures puncture the check and
+// only the data shards are wanted.
 func TestDecodeErrorsIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -495,6 +589,29 @@ func TestDecodeErrorsIntoZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, runTo); allocs != 0 {
 		t.Fatalf("DecodeErrorsTo allocates %.1f times per op in steady state, want 0", allocs)
 	}
+
+	// The SODA_err read shape: erasures and an error, data-only output,
+	// with erased data shard 2 rebuilt through the decode-matrix path.
+	punctured := cloneShards(orig)
+	punctured[2], punctured[12] = nil, nil
+	punctured[5][17] ^= 0x42
+	clear(out)
+	runData := func() {
+		for i := 0; i < 10; i++ {
+			out[i] = bufs[i*size : i*size]
+		}
+		var err error
+		if corrupt, err = e.DecodeErrorsTo(punctured, out, corrupt); err != nil {
+			t.Fatal(err)
+		}
+		if len(corrupt) != 1 || corrupt[0] != 5 || !bytes.Equal(out[2], orig[2]) || !bytes.Equal(out[5], orig[5]) || out[12] != nil {
+			t.Fatalf("data-only DecodeErrorsTo corrupt = %v, want [5] with shards 2 and 5 restored", corrupt)
+		}
+	}
+	runData()
+	if allocs := testing.AllocsPerRun(50, runData); allocs != 0 {
+		t.Fatalf("data-only DecodeErrorsTo with erasures allocates %.1f times per op in steady state, want 0", allocs)
+	}
 }
 
 // TestDecodeErrorsErrataCache checks that a stable errata pattern pays
@@ -528,6 +645,63 @@ func TestDecodeErrorsErrataCache(t *testing.T) {
 	shards := cloneShards(orig)
 	corruptShard(rng, shards, 6)
 	if got, err := noCache.DecodeErrors(shards); err != nil || !slices.Equal(got, []int{6}) {
+		t.Fatalf("uncached decode = (%v, %v)", got, err)
+	}
+}
+
+// TestDecodeErrorsPuncturedCache checks that a stable erasure-plus-error
+// pattern pays the algebra once: one punctured check for the erasure
+// mask and one magnitude solve for the (erasures, errors) pair, each
+// built on the first decode and hit on the next two. A decode without
+// erasures reads the parity check itself and adds no punctured entry.
+func TestDecodeErrorsPuncturedCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	e, err := New(9, 5, WithGenerator(GeneratorRSView))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := makeShards(t, rng, e, 256)
+	for i := 0; i < 3; i++ {
+		shards := cloneShards(orig)
+		shards[1], shards[7] = nil, nil
+		corruptShard(rng, shards, 4)
+		if got, err := e.DecodeErrors(shards); err != nil || !slices.Equal(got, []int{4}) {
+			t.Fatalf("DecodeErrors = (%v, %v), want [4]", got, err)
+		}
+		for j := range orig {
+			if !bytes.Equal(shards[j], orig[j]) {
+				t.Fatalf("shard %d not restored", j)
+			}
+		}
+	}
+	for name, c := range map[string]interface {
+		stats() (uint64, uint64, int)
+	}{"punctured check": e.punctureCache, "errata solve": e.errataCache} {
+		if hits, misses, entries := c.stats(); hits != 2 || misses != 1 || entries != 1 {
+			t.Fatalf("%s cache after 3 identical patterns: hits=%d misses=%d entries=%d, want 2/1/1", name, hits, misses, entries)
+		}
+	}
+
+	shards := cloneShards(orig)
+	corruptShard(rng, shards, 4)
+	if got, err := e.DecodeErrors(shards); err != nil || !slices.Equal(got, []int{4}) {
+		t.Fatalf("DecodeErrors without erasures = (%v, %v), want [4]", got, err)
+	}
+	if _, _, entries := e.punctureCache.stats(); entries != 1 {
+		t.Fatalf("a decode without erasures added a punctured check: %d entries, want 1", entries)
+	}
+
+	noCache, err := New(9, 5, WithGenerator(GeneratorRSView), WithCacheSize(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if noCache.punctureCache != nil {
+		t.Fatal("WithCacheSize(0) must disable the punctured-check cache")
+	}
+	shards = cloneShards(orig)
+	shards[0] = nil
+	corruptShard(rng, shards, 6)
+	if got, err := noCache.DecodeErrors(shards); err != nil || !slices.Equal(got, []int{6}) || !bytes.Equal(shards[0], orig[0]) {
 		t.Fatalf("uncached decode = (%v, %v)", got, err)
 	}
 }

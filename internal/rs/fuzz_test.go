@@ -3,6 +3,7 @@ package rs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,14 +15,14 @@ import (
 // shape, damage pattern, and shard contents, and checks it against both
 // the brute-force subset-decoding oracle and the original data, on
 // every kernel tier of the dispatch ladder (gfni/avx2/table here,
-// table-only under -tags purego).
+// table-only under -tags purego), with full and with sparse outputs.
 func FuzzDecodeErrors(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(2), uint8(0), []byte("seed data for the fuzzer"))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(2), []byte{0x00, 0xff, 0x13})
 	f.Add(int64(3), uint8(2), uint8(2), uint8(1), bytes.Repeat([]byte{0xa5}, 300))
 	f.Add(int64(4), uint8(3), uint8(0), uint8(5), []byte{})
 
-	shapes := []struct{ n, k int }{{5, 3}, {9, 5}, {14, 10}, {8, 3}}
+	shapes := []struct{ n, k int }{{5, 3}, {7, 3}, {9, 5}, {14, 10}, {8, 3}}
 	encoders := make([]*Encoder, len(shapes))
 	for i, sh := range shapes {
 		var err error
@@ -57,6 +58,20 @@ func FuzzDecodeErrors(f *testing.F) {
 		ne := int(eSel) % ((d-nf)/2 + 1)
 		perm := rng.Perm(n)
 		damaged, wantCorrupt, _ := damage(rng, orig, perm, ne, nf, false)
+
+		brute := cloneShards(damaged)
+		gotBrute, err := enc.decodeErrorsBrute(brute)
+		if err != nil {
+			t.Fatalf("[%d,%d] e=%d f=%d: oracle: %v", n, k, ne, nf, err)
+		}
+		if !slices.Equal(gotBrute, wantCorrupt) {
+			t.Fatalf("[%d,%d]: oracle corrupt = %v, want %v", n, k, gotBrute, wantCorrupt)
+		}
+		for i := range orig {
+			if !bytes.Equal(brute[i], orig[i]) {
+				t.Fatalf("[%d,%d]: oracle shard %d not restored", n, k, i)
+			}
+		}
 
 		defer gf256.SetKernel("auto")
 		for _, kern := range gf256.AvailableKernels() {
@@ -99,19 +114,23 @@ func FuzzDecodeErrors(f *testing.F) {
 					t.Fatalf("kernel %s [%d,%d] e=%d f=%d: DecodeErrorsTo out[%d] differs from DecodeErrors", kern, n, k, ne, nf, i)
 				}
 			}
-		}
 
-		brute := cloneShards(damaged)
-		gotBrute, err := enc.decodeErrorsBrute(brute)
-		if err != nil {
-			t.Fatalf("[%d,%d] e=%d f=%d: oracle: %v", n, k, ne, nf, err)
-		}
-		if !slices.Equal(gotBrute, wantCorrupt) {
-			t.Fatalf("[%d,%d]: oracle corrupt = %v, want %v", n, k, gotBrute, wantCorrupt)
-		}
-		for i := range orig {
-			if !bytes.Equal(brute[i], orig[i]) {
-				t.Fatalf("[%d,%d]: oracle shard %d not restored", n, k, i)
+			// Sparse outputs (data-only or a random subset): the nil
+			// entries stay nil, the others match the oracle.
+			for trial := 0; trial < 2; trial++ {
+				sparse := sparseOut(rng, trial, n, k, size)
+				wanted := make([]bool, n)
+				for i, o := range sparse {
+					wanted[i] = o != nil
+				}
+				gotSparse, err := enc.DecodeErrorsTo(damaged, sparse, nil)
+				if err != nil {
+					t.Fatalf("kernel %s [%d,%d] e=%d f=%d: sparse DecodeErrorsTo: %v", kern, n, k, ne, nf, err)
+				}
+				if !slices.Equal(gotSparse, gotBrute) {
+					t.Fatalf("kernel %s [%d,%d]: sparse DecodeErrorsTo corrupt = %v, oracle %v", kern, n, k, gotSparse, gotBrute)
+				}
+				checkSparseOut(t, fmt.Sprintf("kernel %s [%d,%d] e=%d f=%d sparse DecodeErrorsTo", kern, n, k, ne, nf), sparse, brute, wanted)
 			}
 		}
 

@@ -107,11 +107,12 @@ type Encoder struct {
 	// shard k+i. Precomputed so Encode/Verify never allocate them.
 	parityCoeffs [][]byte
 
-	conc        int // max goroutines per striped operation
-	stripeMin   int // minimum shard size before striping kicks in
-	cache       *matrixCache
-	errataCache *matrixCache // errata-solve setups keyed by errata bitmask
-	pool        *workerPool  // nil when conc == 1
+	conc          int                     // max goroutines per striped operation
+	stripeMin     int                     // minimum shard size before striping kicks in
+	cache         *matrixCache[shardKey]  // decode matrices keyed by survivor bitmask
+	punctureCache *matrixCache[shardKey]  // punctured check rows keyed by erasure bitmask
+	errataCache   *matrixCache[errataKey] // error-magnitude solves keyed by (erasures, errors)
+	pool          *workerPool             // nil when conc == 1
 
 	scratch    sync.Pool // *codecScratch
 	verscratch sync.Pool // *verifyScratch
@@ -150,22 +151,27 @@ func WithStripeThreshold(bytes int) Option {
 // WithCacheSize bounds the decode-matrix LRU to the given number of
 // entries. 0 disables caching (every reconstruction inverts). The
 // default is 64 entries, about 64 * k^2 bytes. The same bound applies
-// to the errata-solve cache used by DecodeErrors (keyed by the
-// erasure-plus-error pattern), which is likewise disabled by 0.
+// to the two caches DecodeErrors uses — punctured check rows (keyed by
+// the erasure pattern) and error-magnitude solves (keyed by the
+// erasure-plus-error pattern) — which are likewise disabled by 0.
 func WithCacheSize(entries int) Option {
 	return func(e *Encoder) error {
 		if entries < 0 {
 			return fmt.Errorf("%w: cache size %d < 0", ErrInvalidOption, entries)
 		}
 		if entries == 0 {
-			e.cache = nil
-			e.errataCache = nil
+			e.cache, e.punctureCache, e.errataCache = nil, nil, nil
 		} else {
-			e.cache = newMatrixCache(entries)
-			e.errataCache = newMatrixCache(entries)
+			e.setCaches(entries)
 		}
 		return nil
 	}
+}
+
+func (e *Encoder) setCaches(entries int) {
+	e.cache = newMatrixCache[shardKey](entries)
+	e.punctureCache = newMatrixCache[shardKey](entries)
+	e.errataCache = newMatrixCache[errataKey](entries)
 }
 
 const (
@@ -181,13 +187,12 @@ func New(n, k int, opts ...Option) (*Encoder, error) {
 		return nil, fmt.Errorf("%w: n=%d k=%d (need 0 < k <= n <= 256)", ErrInvalidShape, n, k)
 	}
 	e := &Encoder{
-		n:           n,
-		k:           k,
-		conc:        runtime.GOMAXPROCS(0),
-		stripeMin:   defaultStripeMin,
-		cache:       newMatrixCache(defaultCacheSize),
-		errataCache: newMatrixCache(defaultCacheSize),
+		n:         n,
+		k:         k,
+		conc:      runtime.GOMAXPROCS(0),
+		stripeMin: defaultStripeMin,
 	}
+	e.setCaches(defaultCacheSize)
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
 			return nil, err
@@ -579,10 +584,7 @@ func (e *Encoder) reconstruct(shards [][]byte, dataOnly, into bool) error {
 // by the (sorted, distinct) surviving shard indices, consulting the LRU
 // cache first.
 func (e *Encoder) decodeMatrix(chosen []int) (*matrix.Matrix, error) {
-	var key shardKey
-	for _, idx := range chosen {
-		key[idx>>6] |= 1 << (idx & 63)
-	}
+	key := maskOf(chosen)
 	if e.cache != nil {
 		if m, ok := e.cache.get(key); ok {
 			return m, nil

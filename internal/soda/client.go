@@ -375,12 +375,22 @@ func (wc *writeCall) run() {
 	if nudge {
 		wc.signal()
 	}
+	// The mint wins over cancellation: Write sends every leg's token
+	// before it returns and cancels ctx, so a straggler whose get-tag
+	// answered after the write completed still finds its token and puts
+	// its element (in-flight messages land). Without the second look the
+	// select would pick at random, and the write could end on only n-f
+	// servers.
 	var minted Tag
 	select {
 	case minted = <-wc.mint:
 	case <-wc.ctx.Done():
-		wc.sc.release(&wc.w.scratch)
-		return
+		select {
+		case minted = <-wc.mint:
+		default:
+			wc.sc.release(&wc.w.scratch)
+			return
+		}
 	}
 	err = c.PutData(wc.ctx, wc.key, minted, wc.sc.shards[c.Index()], wc.vlen)
 	wc.sc.release(&wc.w.scratch)

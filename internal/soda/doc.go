@@ -51,7 +51,9 @@
 // SODA_err variant: it waits for k + 2e coded elements of a matching
 // tag (possible while n - f >= k + 2e), runs Verify when all n are in
 // hand and otherwise the read-only syndrome decoder rs.DecodeErrorsTo
-// on the rs-view generator, and reports the located corrupt server
+// on the rs-view generator — which decodes over the code punctured at
+// the missing elements and rebuilds only the k data shards the value
+// needs — and reports the located corrupt server
 // indices for quarantine, tolerating e servers that return silently
 // corrupted elements on top of the crash faults (decoding radius
 // 2e + erasures <= n - k).

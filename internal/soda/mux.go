@@ -21,7 +21,11 @@ import (
 //
 // The connection is established lazily and re-established on demand
 // after a failure; concurrent operations needing a connection share
-// one dial (singleflight) instead of stampeding the server. A
+// one dial (singleflight) instead of stampeding the server. The dial
+// runs under the conn's own lifetime, not the context of the operation
+// that started it: the connection outlives every operation, so one
+// whose context ends first — a write's straggler leg, typically — must
+// not fail the dial for everyone waiting on it. A
 // connection failure fails every in-flight exchange on it — the
 // per-server error the quorum layer already knows how to charge.
 var errConnClosed = errors.New("soda: mux conn closed")
@@ -69,6 +73,9 @@ type MuxConn struct {
 	reqSeq atomic.Uint64
 	wmu    sync.Mutex // serializes frame writes to the live connection
 
+	life context.Context    // ends at Close: bounds the shared dial
+	stop context.CancelFunc // ends life
+
 	mu      sync.Mutex
 	sess    *muxSession
 	dialing *dialAttempt
@@ -90,6 +97,7 @@ func TCPMuxConn(idx int, addr string, opts ...TCPOption) *MuxConn {
 	for _, opt := range opts {
 		opt(&c.opts)
 	}
+	c.life, c.stop = context.WithCancel(context.Background())
 	return c
 }
 
@@ -122,64 +130,68 @@ func (c *MuxConn) Close() error {
 	c.closed = true
 	s := c.sess
 	c.mu.Unlock()
+	c.stop()
 	if s != nil {
 		c.teardown(s, errConnClosed)
 	}
 	return nil
 }
 
-// session returns the live connection, dialing (once, shared) if
-// needed.
+// session returns the live connection, starting the shared dial if
+// none is in flight and waiting for it until ctx ends.
 func (c *MuxConn) session(ctx context.Context) (*muxSession, error) {
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, errConnClosed
-		}
-		if c.sess != nil {
-			s := c.sess
-			c.mu.Unlock()
-			return s, nil
-		}
-		att := c.dialing
-		if att == nil {
-			att = &dialAttempt{done: make(chan struct{})}
-			c.dialing = att
-			c.mu.Unlock()
-			conn, err := c.opts.policy.dial(ctx, c.addr)
-			c.mu.Lock()
-			c.dialing = nil
-			if err == nil && c.closed {
-				err = errConnClosed
-				conn.Close()
-				conn = nil
-			}
-			if err != nil {
-				c.mu.Unlock()
-				att.err = err
-				close(att.done)
-				return nil, err
-			}
-			s := &muxSession{conn: conn, done: make(chan struct{})}
-			c.sess = s
-			c.mu.Unlock()
-			att.sess = s
-			close(att.done)
-			go c.readLoop(s)
-			return s, nil
-		}
+	c.mu.Lock()
+	if c.closed {
 		c.mu.Unlock()
-		select {
-		case <-att.done:
-			if att.sess != nil {
-				return att.sess, nil
-			}
-			return nil, att.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		return nil, errConnClosed
 	}
+	if s := c.sess; s != nil {
+		c.mu.Unlock()
+		return s, nil
+	}
+	att := c.dialing
+	if att == nil {
+		att = &dialAttempt{done: make(chan struct{})}
+		c.dialing = att
+		go c.dial(att)
+	}
+	c.mu.Unlock()
+	select {
+	case <-att.done:
+		if att.sess != nil {
+			return att.sess, nil
+		}
+		return nil, att.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// dial runs one shared dial attempt under the conn's lifetime context,
+// publishes the result to att's waiters, and on success becomes the
+// session's demux pump.
+func (c *MuxConn) dial(att *dialAttempt) {
+	conn, err := c.opts.policy.dial(c.life, c.addr)
+	c.mu.Lock()
+	c.dialing = nil
+	if c.closed { // Close may also have aborted the dial itself
+		if err == nil {
+			conn.Close()
+		}
+		err = errConnClosed
+	}
+	if err != nil {
+		c.mu.Unlock()
+		att.err = err
+		close(att.done)
+		return
+	}
+	s := &muxSession{conn: conn, done: make(chan struct{})}
+	c.sess = s
+	c.mu.Unlock()
+	att.sess = s
+	close(att.done)
+	c.readLoop(s)
 }
 
 // teardown fails a session and clears every exchange registered on it.
@@ -347,7 +359,15 @@ func (c *MuxConn) unary(ctx context.Context, build func(b []byte, req uint64) []
 	case payload := <-ch:
 		return payload, nil
 	case <-s.done:
-		return nil, s.err
+		// The demux pump routes a response before it can fail the
+		// session, so a response already delivered wins over the
+		// failure (a server that answers and then closes).
+		select {
+		case payload := <-ch:
+			return payload, nil
+		default:
+			return nil, s.err
+		}
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, req)

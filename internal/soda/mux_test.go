@@ -388,6 +388,37 @@ func TestMuxRedialsAfterServerRestart(t *testing.T) {
 	}
 }
 
+// TestMuxDialOutlivesCancelledOp pins that the shared dial belongs to
+// the conn, not to the operation that happened to start it: an
+// operation whose context has already ended (a quorum's straggler leg)
+// returns at once, but the connection it triggered is still
+// established, and the next operation uses it without a second dial.
+func TestMuxDialOutlivesCancelledOp(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	addrs, servers := startTCPServers(t, 1)
+	c := TCPMuxConn(0, addrs[0])
+	defer c.Close()
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := c.GetTag(done, testKey); !errors.Is(err, context.Canceled) {
+		t.Fatalf("GetTag under a cancelled context = %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for servers[0].NumConns() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the dial a cancelled operation started never connected")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := c.GetTag(ctx, testKey); err != nil {
+		t.Fatalf("GetTag on the established connection: %v", err)
+	}
+	if n := servers[0].NumConns(); n != 1 {
+		t.Fatalf("server saw %d connections, want 1", n)
+	}
+}
+
 // TestMuxEndToEndCluster runs the full protocol stack — Writer and
 // Reader quorums, relay-completed reads — over a 5-server TCP cluster
 // on persistent multiplexed connections, and proves the whole run used

@@ -292,8 +292,11 @@ func (rp *Repairer) repair(ctx context.Context, target int) (RepairOutcome, erro
 
 // keyUnion enumerates the keys held across the live donors — the
 // namespace the target must be healed over. Donors that fail the
-// enumeration are marked suspect and skipped; at least one must
-// answer.
+// enumeration are marked suspect and skipped. More than f = (n-k)/2
+// donors must answer: a completed write reached n-f servers, so f+1
+// donors intersect every write quorum, and only then does an empty
+// union prove that nothing was written. Fewer answers could all come
+// from servers a write skipped.
 func (rp *Repairer) keyUnion(ctx context.Context, target int) ([]string, error) {
 	var (
 		mu       sync.Mutex
@@ -333,14 +336,14 @@ func (rp *Repairer) keyUnion(ctx context.Context, target int) ([]string, error) 
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	if answers == 0 {
+	if need := (rp.codec.N()-rp.codec.K())/2 + 1; answers < need {
 		if staleErr != nil {
-			// Every donor bounced the enumeration for carrying a retired
+			// Donors bounced the enumeration for carrying a retired
 			// epoch: the quorum shortfall IS a reconfiguration, and the
 			// caller must see it as one.
-			return nil, fmt.Errorf("%w: no live donor answered the key enumeration: %w", ErrRepairQuorum, staleErr)
+			return nil, fmt.Errorf("%w: %d of the %d donors needed answered the key enumeration: %w", ErrRepairQuorum, answers, need, staleErr)
 		}
-		return nil, fmt.Errorf("%w: no live donor answered the key enumeration", ErrRepairQuorum)
+		return nil, fmt.Errorf("%w: %d of the %d donors needed answered the key enumeration", ErrRepairQuorum, answers, need)
 	}
 	keys := make([]string, 0, len(union))
 	for k := range union {

@@ -766,3 +766,42 @@ func TestBackoffSchedule(t *testing.T) {
 		t.Fatalf("cancelled retry = %v after %d calls (must not sleep)", err, calls)
 	}
 }
+
+// failPutConn fails every PutData, so its server never receives a
+// write.
+type failPutConn struct{ Conn }
+
+func (c failPutConn) PutData(context.Context, string, Tag, []byte, int) error {
+	return ErrServerDown
+}
+
+// TestRepairKeyUnionNeedsQuorum: a completed write skipped server 4,
+// and every other donor is down. The one answering donor holds no key,
+// but that does not prove nothing was written — f+1 = 2 donors are
+// needed to intersect the write quorum — so repair must report a
+// quorum shortfall, not readmit the target as an empty register.
+func TestRepairKeyUnionNeedsQuorum(t *testing.T) {
+	ctx := testCtx(t)
+	codec, lb := newCluster(t, 5, 3)
+	wconns := lb.Conns()
+	wconns[4] = failPutConn{wconns[4]}
+	w := mustWriter(t, "w1", codec, wconns)
+	if _, err := w.Write(ctx, testKey, []byte("lives on servers 0-3 only")); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if tag, _, _ := lb.Server(4).Snapshot(testKey); !tag.IsZero() {
+		t.Fatalf("server 4 holds %v; the test needs it to have missed the write", tag)
+	}
+	m := NewMembership(5)
+	rp := mustRepairer(t, codec, lb.Conns(), m)
+	m.MarkSuspect(2, errors.New("operator hunch"))
+	lb.Crash(0)
+	lb.Crash(1)
+	lb.Crash(3)
+	if out, err := rp.RepairOnce(ctx, 2); !errors.Is(err, ErrRepairQuorum) {
+		t.Fatalf("RepairOnce with one donor that missed the write = (%v, %v), want ErrRepairQuorum", out, err)
+	}
+	if m.IsLive(2) {
+		t.Fatal("target readmitted without a key enumeration quorum")
+	}
+}

@@ -856,3 +856,46 @@ func TestWipeAllSweepsUnwrittenRegisters(t *testing.T) {
 	default:
 	}
 }
+
+// stallTagConn holds every GetTag until release is closed.
+type stallTagConn struct {
+	Conn
+	release chan struct{}
+}
+
+func (c *stallTagConn) GetTag(ctx context.Context, key string) (Tag, error) {
+	<-c.release
+	return c.Conn.GetTag(ctx, key)
+}
+
+// TestWriteStragglerPutsAfterReturn pins that a write's straggler leg
+// still delivers its element after Write returned: server 6's get-tag
+// answers only once the write completed on the other servers, when the
+// leg sees both its mint token and the cancelled write context. The
+// token must win, or a completed write ends on only n-f servers.
+func TestWriteStragglerPutsAfterReturn(t *testing.T) {
+	ctx := testCtx(t)
+	for round := 0; round < 20; round++ {
+		codec, lb := newCluster(t, 7, 3)
+		conns := lb.Conns()
+		slow := &stallTagConn{Conn: conns[6], release: make(chan struct{})}
+		conns[6] = slow
+		w := mustWriter(t, "w1", codec, conns)
+		tag, err := w.Write(ctx, testKey, []byte("the straggler's element still lands"))
+		close(slow.release)
+		if err != nil {
+			t.Fatalf("round %d: Write: %v", round, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			got, _, _ := lb.Server(6).Snapshot(testKey)
+			if got == tag {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: server 6 holds %v after the write returned, want the minted %v", round, got, tag)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
